@@ -265,6 +265,8 @@ def monte_carlo_local_collision(
         raise ValueError("start step must lie in 0..55")
     if trials < 1:
         raise ValueError("at least one trial required")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if disturbance not in (0, MSB):
         raise ValueError("disturbance must be 0 or the MSB")
     schedule = np.zeros(9, dtype=np.uint32)

@@ -17,14 +17,12 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 from .boolanalysis import (
-    FirstStepsError,
     activity_csv,
     boolean_diff_table,
     derive_activity,
     isolated_condition_count,
     monte_carlo_local_collision,
     msb_disturbance,
-    satisfy_first16,
 )
 from .codewords import (
     SearchParams,
@@ -44,6 +42,7 @@ from .disturbance import (
     build_characteristic,
     find_collision_add_linear,
     random_block,
+    scaled_kernel,
 )
 from .primitives import FIPS_IV, ExpansionKind, compress, digest_hex, pad_single_block, seq_weight
 from .ringalg import (
@@ -146,6 +145,9 @@ def cmd_solve_disturbance(args) -> tuple[Any, str, int]:
 
 def cmd_collide(args) -> tuple[Any, str, int]:
     import random as _random
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
+    scaled_kernel(args.multiple, args.strict)      # rejects the multiple before any trial
     rng = _random.Random(args.seed)
     succeeded = 0
     sample = None
@@ -305,7 +307,7 @@ def cmd_fig2(args) -> tuple[Any, str, int]:
     kind = _parse_kind(args.kind)
     params = SearchParams(
         algorithm=args.algorithm, iterations=args.iterations,
-        budget_secs=args.budget_secs if args.iterations is None else args.budget_secs,
+        budget_secs=args.budget_secs,
         seed=args.seed, workers=args.workers,
     )
     rows = fig2_sweep(range(args.min_steps, args.max_steps + 1), params, kind,
@@ -424,11 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         result, human, code = args.handler(args)
-    except FirstStepsError as exc:
-        result, human, code = (
-            {"error": "first-steps-correction", "step": exc.step_index,
-             "function": exc.func, "condition": exc.condition},
-            str(exc), 1)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

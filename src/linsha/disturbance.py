@@ -146,6 +146,25 @@ def random_block(rng: Random) -> tuple[int, ...]:
     return tuple(rng.getrandbits(32) for _ in range(16))
 
 
+def scaled_kernel(multiple: int, strict: bool = True) -> list[int]:
+    """multiple * (kernel generator), the 16-word disturbance a collision applies.
+
+    Rejects a multiple outside 0..15 and one that scales the generator to
+    zero, which would pair every message with itself.
+    """
+    if not 0 <= multiple <= 15:
+        raise ValueError("multiple must be in 0..15")
+    delta = solve_disturbance_kernel(strict)[0]
+    scaled = [(multiple * x) & M32 for x in delta]
+    if not any(scaled):
+        raise ValueError(
+            f"multiple {multiple} scales the {'strict' if strict else 'relaxed'} kernel "
+            f"generator (order {element_order(delta)}) to zero, which pairs each message "
+            "with itself"
+        )
+    return scaled
+
+
 def find_collision_add_linear(
     m: Sequence[int] | None,
     multiple: int,
@@ -164,18 +183,8 @@ def find_collision_add_linear(
     that is the only way the cancellation can break.  A multiple that scales
     delta to zero would pair m with itself and is rejected.
     """
-    if not 0 <= multiple <= 15:
-        raise ValueError("multiple must be in 0..15")
     block = as_block(m) if m is not None else random_block(Random(seed))
-    delta = solve_disturbance_kernel(strict)[0]
-    scaled = [(multiple * x) & M32 for x in delta]
-    if not any(scaled):
-        raise ValueError(
-            f"multiple {multiple} scales the {'strict' if strict else 'relaxed'} kernel "
-            f"generator (order {element_order(delta)}) to zero, which pairs each message "
-            "with itself"
-        )
-    disturbance = build_E().vec(scaled)
+    disturbance = build_E().vec(scaled_kernel(multiple, strict))
     characteristic = build_characteristic(disturbance)
     m_prime = tuple((x + d) & M32 for x, d in zip(block, characteristic.expanded_diff[:16]))
     config = linear_config()

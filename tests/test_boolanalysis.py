@@ -154,6 +154,8 @@ class TestMonteCarlo:
             monte_carlo_local_collision(56, 10)
         with pytest.raises(ValueError):
             monte_carlo_local_collision(20, 0)
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo_local_collision(20, 10, workers=0)
 
 
 class TestFirstSixteen:

@@ -66,6 +66,22 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--steps", "20", "--iterations", "5", "--workers", "0"),
+    ("search", "--steps", "20", "--iterations", "5", "--workers", "-1"),
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "0"),
+    ("local-collision-mc", "--trials", "64", "--workers", "0"),
+    ("collide", "--multiple", "2", "--count", "0"),
+    ("collide", "--count", "-1"),
+], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
+        "collide-zero-multiple-no-trials", "collide-negative-count"])
+def test_invalid_input_exits_two(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_collide_relaxed_kernel_fails(capsys):
     code, report, _ = run(capsys, "collide", "--relaxed", "--count", "2")
     assert code == 1

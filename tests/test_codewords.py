@@ -1,5 +1,7 @@
 """Expansion code: generator, census, search, verification, extension."""
 
+import hashlib
+
 import pytest
 
 from linsha.codewords import (
@@ -21,6 +23,31 @@ from linsha.codewords import (
 from linsha.primitives import ExpansionKind, expand, seq_weight
 
 XOR = ExpansionKind.SHA256_XOR
+
+
+def word_hash(words) -> str:
+    return hashlib.sha256(",".join(f"{w:08x}" for w in words).encode()).hexdigest()[:16]
+
+
+# (steps, search parameters, weight, found_at_iteration, word hash), recorded
+# from the big-integer search that the bit-packed one replaced; a faster
+# search must find the same words at the same iterations
+PINNED_SEARCHES = [
+    pytest.param(40, dict(iterations=1000, seed=0), 316, 702, "01d8b95e2d026def", id="n40-seed0"),
+    pytest.param(40, dict(iterations=1000, seed=1), 315, 188, "1cd0f7e926df7bfb", id="n40-seed1"),
+    pytest.param(40, dict(iterations=1000, seed=5), 310, 291, "5d0db9bb278e4ba1", id="n40-seed5"),
+    pytest.param(42, dict(iterations=500, seed=3), 349, 24, "794ba867edf5f63e", id="n42-seed3"),
+    pytest.param(20, dict(algorithm="stern", iterations=10, seed=1), 1, 0, "e2f769ac7480a276",
+                 id="n20-stern"),
+    pytest.param(40, dict(algorithm="stern", iterations=3, seed=0), 334, 0, "56100b00e0cec2d6",
+                 id="n40-stern"),
+    pytest.param(20, dict(algorithm="leon", iterations=10, seed=1), 1, 0, "e2f769ac7480a276",
+                 id="n20-leon"),
+    pytest.param(20, dict(iterations=60, seed=4, workers=2), 1, 0, "067d01ca465919a9",
+                 id="n20-workers2"),
+    pytest.param(22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
+                 "6704b4e02bf11d9f", id="n22-bootstrap20"),
+]
 
 
 class TestGenerator:
@@ -144,6 +171,12 @@ class TestWordFiles:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("steps, params, weight, found_at, digest", PINNED_SEARCHES)
+    def test_pinned_search(self, steps, params, weight, found_at, digest):
+        res = low_weight_search(build_generator(XOR, steps), SearchParams(**params))
+        assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
+            weight, found_at, digest)
+
     def test_sixteen_steps_hits_unit_vector(self):
         g = build_generator(XOR, 16)
         res = low_weight_search(g, SearchParams(iterations=5))
@@ -192,6 +225,11 @@ class TestSearch:
             SearchParams(iterations=0)
         with pytest.raises(ValueError):
             SearchParams(iterations=5, algorithm="gradient-descent")
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                SearchParams(iterations=5, workers=workers)
+        with pytest.raises(ValueError, match="window"):
+            SearchParams(iterations=5, window=-1)
 
 
 class TestSweep:
