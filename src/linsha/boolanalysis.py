@@ -145,6 +145,19 @@ def _offset_registers() -> dict[int, tuple[int, ...]]:
     return out
 
 
+def _designed_flags(dstar: Sequence[int], s: int) -> list[int]:
+    """Per register a..h, 1 when its designed difference entering step s is
+    the MSB and 0 when it is zero."""
+    regs_at = _offset_registers()
+    flags = [0] * 8
+    for k in range(1, 9):
+        j = s - k
+        if 0 <= j < len(dstar) and dstar[j]:
+            for r in regs_at[k]:
+                flags[r] ^= 1
+    return flags
+
+
 @dataclass(frozen=True)
 class ActivityRow:
     step: int
@@ -163,16 +176,10 @@ def derive_activity(dstar: Sequence[int]) -> list[ActivityRow]:
     words = list(dstar)
     if any(w not in (0, MSB) for w in words):
         raise ValueError("activity derivation expects an MSB-only disturbance")
-    regs_at = _offset_registers()
     free = _prob_one_patterns()
     rows = []
     for s in range(len(words)):
-        flags = [0] * 8
-        for k in range(1, 9):
-            j = s - k
-            if 0 <= j < len(words) and words[j]:
-                for r in regs_at[k]:
-                    flags[r] ^= 1
+        flags = _designed_flags(words, s)
         maj_pat = (flags[0], flags[1], flags[2])
         ch_pat = (flags[4], flags[5], flags[6])
         cost = 0
@@ -224,25 +231,14 @@ class McResult:
 
 
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
-    regs = [rng.integers(0, 1 << 32, nt, dtype=np.uint32) for _ in range(8)]
-    a, b, c, d, e, f, g, h = regs
-    a2, b2, c2, d2, e2, f2, g2, h2 = (x.copy() for x in regs)
+    config = make_variant("no_sbox")
+    state = state2 = RegisterState(*(rng.integers(0, 1 << 32, nt, dtype=np.uint32)
+                                     for _ in range(8)))
     for t in range(9):
         w = rng.integers(0, 1 << 32, nt, dtype=np.uint32)
-        w2 = w ^ corrections[t]
-        k = np.uint32(K[(i + t) % 64])
-
-        def advance(a, b, c, d, e, f, g, h, w):
-            ch_v = (e & f) ^ (~e & g)
-            maj_v = (a & b) ^ (a & c) ^ (b & c)
-            t1 = h + e + ch_v + k + w          # identity S-boxes
-            t2 = a + maj_v
-            return t1 + t2, a, b, c, d + t1, e, f, g
-
-        a, b, c, d, e, f, g, h = advance(a, b, c, d, e, f, g, h, w)
-        a2, b2, c2, d2, e2, f2, g2, h2 = advance(a2, b2, c2, d2, e2, f2, g2, h2, w2)
-    same = (a == a2) & (b == b2) & (c == c2) & (d == d2)
-    same &= (e == e2) & (f == f2) & (g == g2) & (h == h2)
+        state = step(state, w, K[(i + t) % 64], config)
+        state2 = step(state2, w ^ corrections[t], K[(i + t) % 64], config)
+    same = np.logical_and.reduce([x == x2 for x, x2 in zip(state, state2)])
     return int(same.sum())
 
 
@@ -475,18 +471,11 @@ def check_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[bool, int | N
     char = build_characteristic(list(dstar), MSB_CORRECTION_COEFFS)
     words = list(as_block(m))
     words2 = [(w + d) & M32 for w, d in zip(words, char.expanded_diff[:16])]
-    regs_at = _offset_registers()
     state, state2 = FIPS_IV, FIPS_IV
     for s in range(16):
         state = step(state, words[s], K[s], config)
         state2 = step(state2, words2[s], K[s], config)
-        designed = [0] * 8
-        for k in range(1, 9):
-            j = (s + 1) - k
-            if 0 <= j < len(dstar) and dstar[j]:
-                for r in regs_at[k]:
-                    designed[r] ^= 1
         actual = [(x2 - x) & M32 for x, x2 in zip(state, state2)]
-        if actual != [MSB if f else 0 for f in designed]:
+        if actual != [MSB * f for f in _designed_flags(dstar, s + 1)]:
             return False, s
     return True, None

@@ -86,8 +86,8 @@ def _parse_kind(name: str) -> ExpansionKind:
     try:
         return ExpansionKind(name)
     except ValueError:
-        raise SystemExit(f"unknown expansion kind {name!r}; choose from "
-                         + ", ".join(k.value for k in ExpansionKind))
+        raise ValueError(f"unknown expansion kind {name!r}; choose from "
+                         + ", ".join(k.value for k in ExpansionKind)) from None
 
 
 def _config(args: argparse.Namespace) -> VariantConfig:
@@ -277,7 +277,7 @@ def cmd_verify_word(args) -> tuple[Any, str, int]:
     words = load_codeword_file(args.file)
     resolved, order, valid, weight = resolve_word_order(words, kind)
     if args.steps is not None and len(resolved) != args.steps:
-        raise SystemExit(f"file has {len(resolved)} words, expected {args.steps}")
+        raise ValueError(f"file has {len(resolved)} words, expected {args.steps}")
     result = {"valid": valid, "weight": weight, "order": order,
               "support": zero_band_report(resolved)["support"]}
     human = f"{args.file}: valid={valid} weight={weight} (read order: {order})"

@@ -374,19 +374,30 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     (seed, workers, iteration budget).
     """
     t0 = time.monotonic()
-    origin = "search"
-    incumbent: tuple[int | None, int | None] = (None, None)
+    shorter = []
     for n1 in params.bootstrap_lengths:
         if not 16 <= n1 < g.n_steps:
             raise ValueError(f"bootstrap length {n1} outside [16, {g.n_steps})")
-        sub = low_weight_search(
+        shorter.append(low_weight_search(
             build_generator(g.kind, n1), replace(params, bootstrap_lengths=())
-        )
+        ))
+    return _search_from(g, params, shorter, t0)
+
+
+def _search_from(
+    g: GeneratorMatrix, params: SearchParams, shorter: Sequence[SearchResult], t0: float
+) -> SearchResult:
+    """The chains of low_weight_search, from the lightest extension of the
+    shorter results (if any) as incumbent; params' time budget runs from t0
+    and is split into equal slices, one per chain."""
+    origin = "search"
+    incumbent: tuple[int | None, int | None] = (None, None)
+    for sub in shorter:
         extended = extend_codeword(sub.words, g.n_steps, g.kind)
         w = seq_weight(extended)
         if incumbent[0] is None or w < incumbent[0]:
             incumbent = (w, words_to_bits(extended))
-            origin = f"bootstrap({n1})"
+            origin = f"bootstrap({sub.n_steps})"
 
     if g.n_bits == 512:
         # no redundancy, every vector is a codeword; a unit vector is minimal
@@ -394,15 +405,18 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
         return SearchResult(words, 1, g.kind, g.n_steps, params.algorithm,
                             params.seed, 0, 0, "search", time.monotonic() - t0)
 
-    deadline = t0 + params.budget_secs if params.budget_secs is not None else None
     iterations = params.iterations if params.iterations is not None else 1 << 62
     base = iterations // params.workers
     extra = iterations % params.workers
+    start = time.monotonic()
     best_w, best_bits = incumbent
     found_at = None
     iters_total = 0
     for widx in range(params.workers):
         share = base + (1 if widx < extra else 0)
+        deadline = None
+        if params.budget_secs is not None:
+            deadline = start + (t0 + params.budget_secs - start) * (widx + 1) / params.workers
         chain_seed = params.seed * 1000003 + widx
         w, bits, fat, done = _chain_search(
             g, params, chain_seed, share, deadline, (best_w, best_bits)
@@ -500,6 +514,9 @@ def fig2_sweep(
 ) -> list[SweepRow]:
     """Best weight per step count, searching up to the horizon, extending after.
 
+    A searched row past 40 steps starts from the 40-step word, extended, as
+    its incumbent; the 40-step search runs once per sweep.
+
     The reported curve is made monotone by a truncation pass: a valid N-step
     word cut to N-1 steps is a valid word again, so any longer word that
     truncates lighter replaces the shorter row.  Weights therefore never
@@ -510,12 +527,19 @@ def fig2_sweep(
         raise ValueError("sweep range must lie within [16, 64]")
     rows: dict[int, SweepRow] = {}
     best_searched: SweepRow | None = None
+    params = replace(params, bootstrap_lengths=())
+    searched40: SearchResult | None = None
     for n in steps_list:
         if n <= search_horizon:
-            boot = (40,) if n > 40 else ()
-            res = low_weight_search(
-                build_generator(kind, n), replace(params, bootstrap_lengths=boot)
-            )
+            if n <= 40:
+                res = low_weight_search(build_generator(kind, n), params)
+            else:
+                if searched40 is None:
+                    searched40 = low_weight_search(build_generator(kind, 40), params)
+                res = _search_from(build_generator(kind, n), params, (searched40,),
+                                   time.monotonic())
+            if n == 40:
+                searched40 = res
             row = SweepRow(n, res.weight, "searched", params.seed, res.iterations_run, res.words)
             best_searched = row
         else:

@@ -13,7 +13,18 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .primitives import ExpansionKind, FIPS_IV, M32, RegisterState, as_block, compress, expand
+from .primitives import (
+    BoolMode,
+    ExpansionKind,
+    FIPS_IV,
+    M32,
+    RegisterState,
+    SboxMode,
+    as_block,
+    compress,
+    expand,
+    step,
+)
 from .ringalg import build_E, element_order, solve_disturbance_kernel
 from .variants import VariantConfig, make_variant
 
@@ -66,20 +77,14 @@ def propagate(config: VariantConfig, delta_w: Sequence[int]) -> tuple[tuple[int,
 
     Row s is the 8-tuple of register differences before step s; there are
     len(delta_w) + 1 rows.  Differences propagate independently of the actual
-    state because the whole step map is affine, so this is a closed-form
-    computation, not a simulation.
+    state because the whole step map is affine, so stepping the zero state
+    with the word differences and a zero constant computes them exactly.
     """
-    from .primitives import BoolMode, SboxMode
-
     if config.sbox_mode is not SboxMode.IDENTITY or config.bool_mode is not BoolMode.MODULAR_ADD:
         raise ValueError("exact difference propagation needs the fully linear configuration")
-    rows = [tuple([0] * 8)]
-    a = b = c = d = e = f = g = h = 0
+    rows = [RegisterState(*[0] * 8)]
     for dw in delta_w:
-        t1 = (h + 2 * e + f + g + dw) & M32
-        t2 = (2 * a + b + c) & M32
-        a, b, c, d, e, f, g, h = (t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g
-        rows.append((a, b, c, d, e, f, g, h))
+        rows.append(step(rows[-1], dw, 0, config))
     return tuple(rows)
 
 

@@ -1,6 +1,11 @@
 """Reference building blocks: 32-bit word ops, Boolean functions, S-boxes,
 the per-step state update, message expansion in five flavours, and the
-compression function parameterised by a variant configuration."""
+compression function parameterised by a variant configuration.
+
+`step` masks only the two words it outputs: on Python ints that keeps its
+results exact, and on numpy `uint32` arrays every operation already wraps
+modulo 2^32, so one state update serves single states, batches and exact
+difference propagation alike."""
 
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ if TYPE_CHECKING:
     from .variants import VariantConfig
 
 M32 = 0xFFFFFFFF
+MAX_STEPS = 128  # bound on N keeps expansion buffers small
 
 
 def rotr(x: int, n: int) -> int:
@@ -35,11 +41,11 @@ def seq_weight(words: Sequence[int]) -> int:
 
 
 def maj(x: int, y: int, z: int) -> int:
-    return (x & y) | (x & z) | (y & z)
+    return (x & (y | z)) | (y & z)
 
 
 def ch(x: int, y: int, z: int) -> int:
-    return (x & y) | (~x & z & M32)
+    return (x & y) | (~x & z)
 
 
 def add3(x: int, y: int, z: int) -> int:
@@ -64,7 +70,7 @@ def small_sigma1(x: int) -> int:
 
 
 def identity32(x: int) -> int:
-    return x & M32
+    return x
 
 
 class SboxMode(enum.Enum):
@@ -139,7 +145,10 @@ def pad_single_block(data: bytes) -> tuple[int, ...]:
 
 
 def step(state: RegisterState, w: int, k: int, config: "VariantConfig") -> RegisterState:
-    """One state update; Σ0/Σ1 and Maj/Ch are swapped out per the config."""
+    """One state update; Σ0/Σ1 and Maj/Ch are swapped out per the config.
+
+    Registers and w are 32-bit words, or numpy uint32 arrays of one shape.
+    """
     if config.sbox_mode is SboxMode.STANDARD:
         bs0, bs1 = big_sigma0, big_sigma1
     else:
@@ -149,15 +158,15 @@ def step(state: RegisterState, w: int, k: int, config: "VariantConfig") -> Regis
     else:
         f_maj = f_ch = add3
     a, b, c, d, e, f, g, h = state
-    t1 = (h + bs1(e) + f_ch(e, f, g) + k + w) & M32
-    t2 = (bs0(a) + f_maj(a, b, c)) & M32
+    t1 = h + bs1(e) + f_ch(e, f, g) + k + w
+    t2 = bs0(a) + f_maj(a, b, c)
     return RegisterState((t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g)
 
 
 def expand(m: Sequence[int], kind: ExpansionKind, n: int) -> list[int]:
     """Expand a 16-word block to n words under the chosen recurrence."""
-    if n < 16:
-        raise ValueError(f"expansion length must be at least 16, got {n}")
+    if not 16 <= n <= MAX_STEPS:
+        raise ValueError(f"expansion length must be in [16, {MAX_STEPS}], got {n}")
     w = list(as_block(m))
     if kind is ExpansionKind.SHA256_ADD:
         for i in range(16, n):

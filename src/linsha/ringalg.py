@@ -9,7 +9,6 @@ that characterise expanded differences vanishing on their boundary words.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -61,9 +60,6 @@ class WordMatrix:
             base = base.mul(base)
             k >>= 1
         return result
-
-    def slice_rows(self, start: int, stop: int) -> "WordMatrix":
-        return WordMatrix(self.rows[start:stop])
 
 
 def identity_matrix(n: int) -> WordMatrix:
@@ -280,9 +276,10 @@ def solve_disturbance_kernel(strict: bool = False) -> tuple[tuple[int, ...], ...
     generator is the one whose correction characteristic survives the message
     expansion, i.e. the one that actually produces ADD-linear collisions.
 
-    Returns a minimal generating set as a tuple; for a cyclic kernel that is
-    one vector, canonicalised as the lexicographically smallest maximal-order
-    generator.  Both forms are solved once per process and then cached.
+    Returns a minimal generating set as a tuple: both kernels are cyclic, so
+    it is one vector, canonicalised as the lexicographically smallest
+    maximal-order generator (a non-cyclic kernel raises).  Both forms are
+    solved once per process and then cached.
     """
     system = condition_system(strict)
     gens = kernel_mod_2e([list(r) for r in system.rows])
@@ -290,21 +287,9 @@ def solve_disturbance_kernel(strict: bool = False) -> tuple[tuple[int, ...], ...
         return ()
     elems = enumerate_module(gens)
     size = len(elems)
-    max_order = max(element_order(e) for e in elems)
-    if max_order == size:
-        # cyclic: canonical single generator
-        candidates = sorted(e for e in elems if element_order(e) == size)
-        return (candidates[0],)
-    # non-cyclic fallback: greedy reduction of the generator list
-    reduced: list[tuple[int, ...]] = []
-    covered: set[tuple[int, ...]] = {tuple([0] * 16)}
-    for g in sorted(elems, key=lambda e: (-element_order(e), e)):
-        if g not in covered:
-            reduced.append(g)
-            covered = enumerate_module(reduced)
-            if len(covered) == size:
-                break
-    return tuple(reduced)
+    if max(element_order(e) for e in elems) != size:
+        raise AssertionError(f"disturbance module of order {size} is not cyclic")
+    return (min(e for e in elems if element_order(e) == size),)
 
 
 def condition_residuals(delta: Sequence[int], strict: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -317,6 +302,3 @@ def backward_words(delta: Sequence[int]) -> tuple[int, ...]:
     """Words -16..-1 of the backward-extended expansion of delta."""
     return _block_inverse().vec(delta)
 
-
-def kernel_to_json(gens: Sequence[Sequence[int]]) -> str:
-    return json.dumps([[f"{x:08x}" for x in g] for g in gens])

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from typing import get_type_hints
 
-from .primitives import BoolMode, ExpansionKind, SboxMode
-
-MAX_STEPS = 128  # bound on N keeps expansion buffers small
+from .primitives import MAX_STEPS, BoolMode, ExpansionKind, SboxMode
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class VariantConfig:
     sbox_mode: SboxMode
     bool_mode: BoolMode
@@ -23,37 +22,16 @@ class VariantConfig:
             raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {self.steps}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sbox_mode": self.sbox_mode.value,
-                "bool_mode": self.bool_mode.value,
-                "expansion_kind": self.expansion_kind.value,
-                "steps": self.steps,
-                "feed_forward": self.feed_forward,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self), default=lambda mode: mode.value)
 
     @classmethod
     def from_json(cls, doc: str) -> "VariantConfig":
         raw = json.loads(doc)
-        return cls(
-            sbox_mode=SboxMode(raw["sbox_mode"]),
-            bool_mode=BoolMode(raw["bool_mode"]),
-            expansion_kind=ExpansionKind(raw["expansion_kind"]),
-            steps=int(raw["steps"]),
-            feed_forward=bool(raw["feed_forward"]),
-        )
+        types = get_type_hints(cls)
+        return cls(**{f.name: types[f.name](raw[f.name]) for f in dataclasses.fields(cls)})
 
     def replace(self, **kw) -> "VariantConfig":
-        fields = {
-            "sbox_mode": self.sbox_mode,
-            "bool_mode": self.bool_mode,
-            "expansion_kind": self.expansion_kind,
-            "steps": self.steps,
-            "feed_forward": self.feed_forward,
-        }
-        fields.update(kw)
-        return VariantConfig(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 _PRESETS = {

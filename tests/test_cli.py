@@ -5,6 +5,9 @@ import json
 import pytest
 
 from linsha.cli import main
+from conftest import DATA
+
+TABLE5 = DATA / "table5.hex"
 
 
 def run(capsys, *argv):
@@ -73,8 +76,15 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("local-collision-mc", "--trials", "64", "--workers", "0"),
     ("collide", "--multiple", "2", "--count", "0"),
     ("collide", "--count", "-1"),
+    ("census", "--kind", "bogus"),
+    ("census", "--steps", "100000"),
+    ("search", "--steps", "1000", "--iterations", "5"),
+    ("extend-word", "--file", str(TABLE5), "--steps", "100000"),
+    ("verify-word", "--file", str(TABLE5), "--steps", "41"),
 ], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
-        "collide-zero-multiple-no-trials", "collide-negative-count"])
+        "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
+        "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
+        "verify-steps-mismatch"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from linsha import codewords
 from linsha.codewords import (
     SearchParams,
     bitrev32,
@@ -218,6 +219,19 @@ class TestSearch:
         with pytest.raises(ValueError):
             low_weight_search(g, SearchParams(iterations=5, bootstrap_lengths=(22,)))
 
+    def test_time_budget_is_split_between_chains(self, monkeypatch):
+        chains = []
+        chain_search = codewords._chain_search
+
+        def spy(*args):
+            out = chain_search(*args)
+            chains.append(out[3])
+            return out
+
+        monkeypatch.setattr(codewords, "_chain_search", spy)
+        low_weight_search(build_generator(XOR, 40), SearchParams(budget_secs=0.3, workers=2))
+        assert len(chains) == 2 and min(chains) >= 1, chains
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SearchParams()
@@ -243,6 +257,37 @@ class TestSweep:
             assert valid and w == r.weight
         assert {r.method for r in rows} <= {"searched", "extended"}
         assert rows[-1].method == "extended"
+
+    def test_forty_steps_searched_once(self, monkeypatch):
+        # rows past 40 start from the row-40 word instead of searching 40
+        # steps again; rows recorded from the sweep that re-searched
+        searched = []
+        chain_search = codewords._chain_search
+        search = codewords.low_weight_search
+
+        def chain_spy(g, *args):
+            searched.append(g.n_steps)
+            return chain_search(g, *args)
+
+        def search_spy(g, params):
+            searched.append(("low_weight_search", g.n_steps))
+            return search(g, params)
+
+        monkeypatch.setattr(codewords, "_chain_search", chain_spy)
+        monkeypatch.setattr(codewords, "low_weight_search", search_spy)
+        rows = fig2_sweep(range(40, 43), SearchParams(iterations=50))
+        assert searched == [("low_weight_search", 40), 40, 41, 42]
+        assert [(r.steps, r.weight, r.method, r.iterations, word_hash(r.words))
+                for r in rows] == [
+            (40, 321, "searched", 50, "db1407d7ccc67568"),
+            (41, 337, "searched", 50, "1edcc84ccb60fde6"),
+            (42, 354, "searched", 50, "f9a12a093162336f"),
+        ]
+
+    def test_rows_past_forty_without_row_forty(self):
+        rows = fig2_sweep(range(41, 43), SearchParams(iterations=20, seed=2, workers=2))
+        assert [(r.steps, r.weight, word_hash(r.words)) for r in rows] == [
+            (41, 333, "705dd9d482570d59"), (42, 353, "0d696dfe7a22a3d8")]
 
     def test_csv_format(self):
         rows = fig2_sweep(range(16, 19), SearchParams(iterations=40, seed=0))

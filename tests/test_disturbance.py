@@ -13,7 +13,15 @@ from linsha.disturbance import (
     propagate,
     random_block,
 )
-from linsha.primitives import ExpansionKind, FIPS_IV, M32, compress, expand
+from linsha.primitives import (
+    ExpansionKind,
+    FIPS_IV,
+    M32,
+    RegisterState,
+    compress,
+    expand,
+    step,
+)
 from linsha.ringalg import build_E
 from linsha.variants import make_variant
 from conftest import KERNEL_GENERATOR
@@ -106,6 +114,21 @@ class TestPropagate:
         rows = propagate(make_variant("add_linear"), [0] * 64)
         assert len(rows) == 65
         assert all(all(x == 0 for x in r) for r in rows)
+
+    def test_equals_iterated_step(self, rng):
+        # the step with k=0 from the zero state, and the step map written out
+        cfg = make_variant("add_linear")
+        for _ in range(5):
+            dw = [rng.getrandbits(32) for _ in range(64)]
+            state, written = RegisterState(*[0] * 8), [(0,) * 8]
+            stepped = [state]
+            for d in dw:
+                state = step(state, d, 0, cfg)
+                stepped.append(state)
+                a, b, c, d_, e, f, g, h = written[-1]
+                t1, t2 = h + 2 * e + f + g + d, 2 * a + b + c
+                written.append(((t1 + t2) & M32, a, b, c, (d_ + t1) & M32, e, f, g))
+            assert propagate(cfg, dw) == tuple(stepped) == tuple(written)
 
     def test_matches_paired_compressions(self, rng):
         # closed-form differences equal those of two real runs

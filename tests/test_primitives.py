@@ -3,6 +3,7 @@
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from linsha.primitives import (
     FIPS_IV,
     M32,
+    MAX_STEPS,
     ExpansionKind,
     RegisterState,
     as_block,
@@ -141,6 +143,11 @@ class TestCompression:
 
 
 class TestExpansion:
+    def test_rejects_length_beyond_bound(self):
+        with pytest.raises(ValueError):
+            expand([0] * 16, ExpansionKind.SHA256_XOR, MAX_STEPS + 1)
+        assert len(expand([0] * 16, ExpansionKind.SHA256_XOR, MAX_STEPS)) == MAX_STEPS
+
     def test_rejects_short_target(self):
         with pytest.raises(ValueError):
             expand([0] * 16, ExpansionKind.SHA256_XOR, 15)
@@ -189,6 +196,21 @@ class TestStepMap:
             out2 = step(s2, (w + dw) & M32, 0x12345678, cfg)
             seen.add(tuple((b - a) & M32 for a, b in zip(out, out2)))
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("name", ["standard", "add_linear", "no_sbox", "xor_expansion"])
+    def test_uint32_batch_matches_ints(self, rng, name):
+        cfg = make_variant(name)
+        for _ in range(4):
+            regs = [[rng.getrandbits(32) for _ in range(63)] + [M32] for _ in range(8)]
+            ws = [rng.getrandbits(32) for _ in range(63)] + [M32]
+            k = rng.getrandbits(32)
+            batch = step(RegisterState(*(np.array(r, dtype=np.uint32) for r in regs)),
+                         np.array(ws, dtype=np.uint32), k, cfg)
+            assert all(x.dtype == np.uint32 for x in batch)
+            for i, w in enumerate(ws):
+                single = step(RegisterState(*(r[i] for r in regs)), w, k, cfg)
+                assert all(0 <= x <= M32 for x in single)
+                assert tuple(int(x[i]) for x in batch) == single
 
     def test_as_block_validates_length(self):
         with pytest.raises(ValueError):
