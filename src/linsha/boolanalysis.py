@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,6 +231,9 @@ class McResult:
         return math.log2(self.rate) if self.successes else float("-inf")
 
 
+_MC_BATCH = 1 << 18          # trials drawn per numpy call within one stream
+
+
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
     config = make_variant("no_sbox")
     state = state2 = RegisterState(*(rng.integers(0, 1 << 32, nt, dtype=np.uint32)
@@ -240,6 +244,17 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
         state2 = step(state2, w ^ corrections[t], K[(i + t) % 64], config)
     same = np.logical_and.reduce([x == x2 for x, x2 in zip(state, state2)])
     return int(same.sum())
+
+
+def _mc_streams(i: int, corrections: np.ndarray, seed: int,
+                streams: Sequence[tuple[int, int]]) -> int:
+    """Summed successes of the trial streams (worker index, trials)."""
+    successes = 0
+    for widx, chunk in streams:
+        rng = np.random.default_rng([seed, widx])
+        for done in range(0, chunk, _MC_BATCH):
+            successes += _mc_chunk(rng, min(_MC_BATCH, chunk - done), i, corrections)
+    return successes
 
 
 def monte_carlo_local_collision(
@@ -255,7 +270,9 @@ def monte_carlo_local_collision(
     plus its offset-{3,4,8} corrections into the paired run, and counts trials
     whose register difference is fully cancelled after step i+9.  Workers own
     generators seeded from (seed, worker index); their counts merge by
-    summation, so results are deterministic for a fixed (seed, workers).
+    summation, so results are deterministic for a fixed (seed, workers).  The
+    streams run in up to os.cpu_count() forked processes, each taking one
+    contiguous block of them; with one process they run inline.
     """
     if not 0 <= i <= 55:
         raise ValueError("start step must lie in 0..55")
@@ -270,18 +287,25 @@ def monte_carlo_local_collision(
         for offset, coeff in [(0, 1)] + list(enumerate(MSB_CORRECTION_COEFFS, start=1)):
             if coeff:
                 schedule[offset] ^= np.uint32(MSB)
-    base = trials // workers
-    extra = trials % workers
-    successes = 0
-    batch = 1 << 18
-    for widx in range(workers):
-        chunk = base + (1 if widx < extra else 0)
-        rng = np.random.default_rng([seed, widx])
-        done = 0
-        while done < chunk:
-            nt = min(batch, chunk - done)
-            successes += _mc_chunk(rng, nt, i, schedule)
-            done += nt
+    base, extra = divmod(trials, workers)
+    # streams without trials draw nothing and contribute nothing
+    streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
+    procs = min(len(streams), os.cpu_count() or 1)
+    if procs == 1:
+        successes = _mc_streams(i, schedule, seed, streams)
+    else:
+        # imported here: every CLI command imports this module, and the
+        # process-pool machinery would add its import time to all of them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
+                  for p in range(procs)]
+        # fork, not forkserver/spawn: a fresh interpreter would re-import numpy
+        with ProcessPoolExecutor(max_workers=procs,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_mc_streams, i, schedule, seed, block) for block in blocks]
+            successes = sum(f.result() for f in futures)
     return McResult(successes, trials, seed, workers)
 
 

@@ -373,7 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-step", type=int, default=20)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None, help="alias for --trials")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="independent trial streams, run in up to CPU-count processes; "
+                        "the count depends only on seed and workers")
 
     p = add("census", cmd_census, help="single-bit expansion weight census")
     p.add_argument("--kind", default="sha256-xor")
@@ -384,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="sequential chains that split --iterations / --budget-secs")
     p.add_argument("--algorithm", default="canteaut-chabaud",
                    choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--bootstrap", default="",
@@ -411,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=60.0,
                    help="per-step-count budget (default 60)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="sequential chains that split --iterations / --budget-secs")
     p.add_argument("--algorithm", default="canteaut-chabaud",
                    choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--out", default=None, help="write CSV here")

@@ -370,17 +370,24 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     single-row baseline.  Optional bootstrap stages search a shorter length
     first and extend the winner, which is sound because truncating a valid
     word is valid again; the extended incumbent seeds the main chain and is
-    only replaced by strictly lighter finds.  Deterministic for fixed
-    (seed, workers, iteration budget).
+    only replaced by strictly lighter finds.  A time budget is split into
+    equal slices from the start, one per bootstrap stage and the last for
+    the main search.  Deterministic for fixed (seed, workers, iteration
+    budget).
     """
     t0 = time.monotonic()
+    stages = len(params.bootstrap_lengths) + 1
     shorter = []
-    for n1 in params.bootstrap_lengths:
+    for s, n1 in enumerate(params.bootstrap_lengths):
         if not 16 <= n1 < g.n_steps:
             raise ValueError(f"bootstrap length {n1} outside [16, {g.n_steps})")
-        shorter.append(low_weight_search(
-            build_generator(g.kind, n1), replace(params, bootstrap_lengths=())
-        ))
+        g1 = build_generator(g.kind, n1)
+        sub = replace(params, bootstrap_lengths=())
+        if params.budget_secs is not None:
+            # a stage that overran leaves the next one a token slice
+            end = t0 + params.budget_secs * (s + 1) / stages
+            sub = replace(sub, budget_secs=max(end - time.monotonic(), 1e-6))
+        shorter.append(low_weight_search(g1, sub))
     return _search_from(g, params, shorter, t0)
 
 

@@ -1,9 +1,12 @@
 """Differential behaviour of Maj/Ch and the no-S-box variant analysis."""
 
+import concurrent.futures
+import os
 from fractions import Fraction
 
 import pytest
 
+from linsha import boolanalysis
 from linsha.boolanalysis import (
     FirstStepsError,
     activity_csv,
@@ -138,6 +141,55 @@ class TestMonteCarlo:
         b = monte_carlo_local_collision(20, 10000, seed=2, workers=3)
         assert a.successes == b.successes
         assert a.trials == 10000
+
+    # (seed, workers) alone fix the count, however many processes run the
+    # streams; these were recorded with every stream in one process
+    PINNED = {1: 679, 2: 692, 3: 693, 5: 680}
+
+    @pytest.mark.parametrize("workers", sorted(PINNED))
+    def test_pinned_worker_split_counts(self, workers):
+        mc = monte_carlo_local_collision(20, 100000, seed=2, workers=workers)
+        assert mc.successes == self.PINNED[workers]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """max_workers of every process pool the Monte Carlo starts."""
+        sizes = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        return sizes
+
+    def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        got = {w: monte_carlo_local_collision(20, 100000, seed=2, workers=w).successes
+               for w in self.PINNED}
+        assert got == self.PINNED
+        assert pool_sizes == []
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mc = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
+        assert mc.successes == self.PINNED[5]
+        assert pool_sizes == [2]
+
+    def test_workers_without_trials_contribute_nothing(self):
+        mc = monte_carlo_local_collision(20, 10, seed=2, workers=16, disturbance=0)
+        assert (mc.successes, mc.trials) == (10, 10)
+
+    def test_worker_failure_propagates(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("worker failed")
+
+        # the forked workers inherit the patched module
+        monkeypatch.setattr(boolanalysis, "_mc_chunk", broken)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            monte_carlo_local_collision(20, 1000, seed=2, workers=2)
 
     def test_zero_disturbance_always_collides(self):
         mc = monte_carlo_local_collision(20, 2048, seed=0, disturbance=0)

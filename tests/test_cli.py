@@ -192,3 +192,19 @@ def test_variant_run_payload(capsys):
     assert code == 0
     assert len(report["result"]["digest"]) == 64
     assert report["result"]["variant"]["sbox_mode"] == "identity"
+
+
+@pytest.mark.parametrize("argv", [
+    ("collide", "--count", "3"),
+    ("search", "--steps", "20", "--iterations", "50"),
+    ("local-collision-mc", "--trials", "4096", "--workers", "2"),
+    ("census", "--steps", "20"),
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "20"),
+], ids=lambda argv: argv[0])
+def test_seeded_runs_reproduce(capsys, argv):
+    results = []
+    for _ in range(2):
+        code, report, _ = run(capsys, *argv, "--seed", "3")
+        assert code == 0
+        results.append(report["result"])
+    assert results[0] == results[1]

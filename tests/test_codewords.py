@@ -232,6 +232,14 @@ class TestSearch:
         low_weight_search(build_generator(XOR, 40), SearchParams(budget_secs=0.3, workers=2))
         assert len(chains) == 2 and min(chains) >= 1, chains
 
+    def test_time_budget_is_split_with_bootstrap_stages(self):
+        # the main search gets its own slice, not what the bootstrap left over
+        res = low_weight_search(build_generator(XOR, 42),
+                                SearchParams(budget_secs=0.5, bootstrap_lengths=(40,)))
+        assert res.iterations_run >= 1
+        valid, w = verify_codeword(res.words, XOR, 42)
+        assert valid and w == res.weight
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SearchParams()
