@@ -17,14 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, step
 from .disturbance import CORRECTION_COEFFS, build_characteristic
 from .ringalg import build_E
 from .variants import VariantConfig, make_variant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MSB = 0x80000000
 
@@ -235,6 +236,8 @@ _MC_BATCH = 1 << 18          # trials drawn per numpy call within one stream
 
 
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
+    import numpy as np
+
     config = make_variant("no_sbox")
     state = state2 = RegisterState(*(rng.integers(0, 1 << 32, nt, dtype=np.uint32)
                                      for _ in range(8)))
@@ -249,6 +252,8 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
 def _mc_streams(i: int, corrections: np.ndarray, seed: int,
                 streams: Sequence[tuple[int, int]]) -> int:
     """Summed successes of the trial streams (worker index, trials)."""
+    import numpy as np
+
     successes = 0
     for widx, chunk in streams:
         rng = np.random.default_rng([seed, widx])
@@ -282,6 +287,10 @@ def monte_carlo_local_collision(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if disturbance not in (0, MSB):
         raise ValueError("disturbance must be 0 or the MSB")
+    # numpy is imported by the functions that use it: every CLI command imports
+    # this module, and only local-collision-mc runs the Monte Carlo
+    import numpy as np
+
     schedule = np.zeros(9, dtype=np.uint32)
     if disturbance:
         for offset, coeff in [(0, 1)] + list(enumerate(MSB_CORRECTION_COEFFS, start=1)):

@@ -52,14 +52,15 @@ class WordMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) & M32 for row in self.rows)
 
     def pow(self, k: int) -> "WordMatrix":
-        result = identity_matrix(self.nrows)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
+                result = base if result is None else result.mul(base)
             k >>= 1
-        return result
+            if k:
+                base = base.mul(base)
+        return identity_matrix(self.nrows) if result is None else result
 
 
 def identity_matrix(n: int) -> WordMatrix:
@@ -94,10 +95,10 @@ def build_E() -> WordMatrix:
     block being the identity mirrors words 0..15 passing through unchanged.
     """
     b = block_advance()
-    rows: list[tuple[int, ...]] = []
-    for k in range(4):
-        rows.extend(b.pow(k).rows)
-    return WordMatrix(tuple(rows))
+    blocks = [identity_matrix(16), b]
+    for _ in range(2):
+        blocks.append(blocks[-1].mul(b))
+    return WordMatrix(tuple(row for block in blocks for row in block.rows))
 
 
 def invert(m: WordMatrix) -> WordMatrix:
@@ -158,10 +159,17 @@ def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[t
     Level k keeps generators of the kernel mod 2^k; each is either lifted by a
     correction 2^k.c or dropped, where (lambda, c) solve a GF(2) system mixing
     the level residuals with S mod 2.  Exact by construction, no division by
-    even ring elements anywhere.
+    even ring elements anywhere.  Each generator carries its image S.g: a
+    lifted generator's image is its parents' images plus 2^k times the
+    columns of S in c, so no level recomputes the products.
     """
     s = [list(row) for row in system]
     nrows, n = len(s), len(s[0])
+    mod = 1 << exponent
+
+    def image(g: Sequence[int]) -> list[int]:
+        return [sum(a * b for a, b in zip(row, g)) % mod for row in s]
+
     s_mod2 = []
     for i in range(nrows):
         r = 0
@@ -173,38 +181,37 @@ def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[t
     for v in _gf2_nullspace(s_mod2, n):
         gens.append([(v >> j) & 1 for j in range(n)])
     gens += [[2 if j == i else 0 for j in range(n)] for i in range(n)]
-    mod = 1 << exponent
+    images = [image(g) for g in gens]
     for k in range(1, exponent):
-        residuals = []
-        for g in gens:
-            y = [sum(s[i][j] * g[j] for j in range(n)) % mod for i in range(nrows)]
-            if any(c % (1 << k) for c in y):
-                raise AssertionError("lifting invariant broken")
-            residuals.append([(c >> k) & 1 for c in y])
+        if any(c % (1 << k) for y in images for c in y):
+            raise AssertionError("lifting invariant broken")
         m = len(gens)
         rows = []
         for i in range(nrows):
-            r = 0
+            r = s_mod2[i] << m
             for j in range(m):
-                if residuals[j][i]:
+                if (images[j][i] >> k) & 1:
                     r |= 1 << j
-            for j in range(n):
-                if s[i][j] & 1:
-                    r |= 1 << (m + j)
             rows.append(r)
-        new_gens = []
+        new_gens, new_images = [], []
         for v in _gf2_nullspace(rows, m + n):
             combo = [0] * n
+            y = [0] * nrows
             for j in range(m):
                 if (v >> j) & 1:
-                    for t in range(n):
-                        combo[t] = (combo[t] + gens[j][t]) % mod
+                    combo = [a + b for a, b in zip(combo, gens[j])]
+                    y = [a + b for a, b in zip(y, images[j])]
             for t in range(n):
                 if (v >> (m + t)) & 1:
-                    combo[t] = (combo[t] + (1 << k)) % mod
+                    combo[t] += 1 << k
+                    y = [a + (row[t] << k) for a, row in zip(y, s)]
+            combo = [c % mod for c in combo]
             if any(combo):
                 new_gens.append(combo)
-        gens = new_gens
+                new_images.append([c % mod for c in y])
+        gens, images = new_gens, new_images
+    if any(any(image(g)) for g in gens):
+        raise AssertionError("lifting invariant broken")
     unique = []
     seen = set()
     for g in gens:
@@ -254,7 +261,8 @@ def _block_inverse() -> WordMatrix:
 def condition_system(strict: bool = False) -> WordMatrix:
     """The 16x16 boundary system whose kernel is the disturbance module.
 
-    Rows 0..7: rows 8..15 of B^3, forcing expanded words 56..63 to zero.
+    Rows 0..7: rows 8..15 of B^3, i.e. rows 56..63 of E, forcing expanded
+    words 56..63 to zero.
     Rows 8..15: a row slice of B^-1 constraining the backward extension.  The
     relaxed default uses rows 0..7 of B^-1 (backward words -16..-9); the
     strict flag switches to rows 8..15 (backward words -8..-1), which is the
@@ -262,7 +270,7 @@ def condition_system(strict: bool = False) -> WordMatrix:
     See solve_disturbance_kernel for the consequences of each choice.
     """
     lo, hi = (8, 16) if strict else (0, 8)
-    return WordMatrix(block_advance().pow(3).rows[8:16] + _block_inverse().rows[lo:hi])
+    return WordMatrix(build_E().rows[56:64] + _block_inverse().rows[lo:hi])
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,29 @@
 """Command-line interface: payloads, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linsha
 from linsha.cli import main
 from conftest import DATA
 
 TABLE5 = DATA / "table5.hex"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = (json.loads(captured.out, parse_constant=_reject_constant)
+              if captured.out.strip() else None)
     return code, report, captured.err
 
 
@@ -74,6 +84,9 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("search", "--steps", "20", "--iterations", "5", "--workers", "-1"),
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "0"),
     ("local-collision-mc", "--trials", "64", "--workers", "0"),
+    ("local-collision-mc", "--iterations", "0"),
+    ("collide", "--seed", "abc"),
+    ("collide", "--seed", "1.5"),
     ("collide", "--multiple", "2", "--count", "0"),
     ("collide", "--count", "-1"),
     ("census", "--kind", "bogus"),
@@ -82,6 +95,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("extend-word", "--file", str(TABLE5), "--steps", "100000"),
     ("verify-word", "--file", str(TABLE5), "--steps", "41"),
 ], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
+        "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
         "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
         "verify-steps-mismatch"])
@@ -167,6 +181,20 @@ def test_local_collision_mc_payload(capsys):
     assert 0 < r["successes"] < 4096
 
 
+def test_local_collision_mc_without_successes_is_json(capsys):
+    # log2 of a zero rate is -inf, which JSON cannot carry; run() rejects it
+    code, report, _ = run(capsys, "local-collision-mc", "--trials", "5")
+    assert code == 0
+    assert report["result"]["successes"] == 0 and report["result"]["log2_rate"] is None
+
+
+def test_local_collision_mc_iterations_aliases_trials(capsys):
+    code, report, _ = run(capsys, "local-collision-mc", "--trials", "5", "--iterations", "7")
+    assert code == 0
+    assert report["result"]["trials"] == 7
+    assert report["parameters"] == {"start_step": 20, "trials": 7, "workers": 1}
+
+
 def test_fig2_csv_out(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code, report, _ = run(capsys, "fig2", "--min-steps", "16", "--max-steps", "18",
@@ -208,3 +236,67 @@ def test_seeded_runs_reproduce(capsys, argv):
         assert code == 0
         results.append(report["result"])
     assert results[0] == results[1]
+
+
+# One command in a fresh interpreter, numpy optionally unimportable.  Prints
+# its exit code and report, and whether numpy was loaded after importing the
+# CLI and on entering the command's handler.
+FRESH = """
+import contextlib, io, json, sys
+if sys.argv[1] == "no-numpy":
+    sys.modules["numpy"] = None
+from linsha import cli
+loaded = {"import": sys.modules.get("numpy") is not None}
+def spy(handler):
+    def entered(args):
+        loaded["handler"] = sys.modules.get("numpy") is not None
+        return handler(args)
+    return entered
+for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+    setattr(cli, name, spy(getattr(cli, name)))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "numpy": loaded}))
+"""
+
+
+def run_fresh(*argv, numpy=True):
+    src = str(Path(linsha.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", FRESH, "numpy" if numpy else "no-numpy", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("collide", "--count", "2"),
+    ("vectors",),
+    ("variant-run", "--variant", "no_sbox"),
+    ("solve-disturbance", "--strict"),
+    ("table1",),
+    ("table2",),
+    ("table3",),
+    ("census", "--steps", "20"),
+    ("verify-word", "--file", str(TABLE5)),
+    ("extend-word", "--file", str(TABLE5), "--steps", "48"),
+], ids=lambda argv: argv[0])
+def test_commands_run_without_numpy(capsys, argv):
+    fresh = run_fresh(*argv, numpy=False)
+    code, report, _ = run(capsys, *argv)
+    assert fresh["code"] == code == 0
+    assert fresh["report"]["result"] == report["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--steps", "20", "--iterations", "20"),
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "10"),
+    ("local-collision-mc", "--trials", "4096"),
+], ids=lambda argv: argv[0])
+def test_numpy_loads_before_the_handler(argv):
+    # loading it inside the handler would put its import time in elapsed_secs
+    fresh = run_fresh(*argv)
+    assert fresh["code"] == 0
+    assert fresh["numpy"] == {"import": False, "handler": True}

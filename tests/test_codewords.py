@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from linsha import codewords
+from linsha import codewords, isd
 from linsha.codewords import (
     SearchParams,
     bitrev32,
@@ -221,14 +221,14 @@ class TestSearch:
 
     def test_time_budget_is_split_between_chains(self, monkeypatch):
         chains = []
-        chain_search = codewords._chain_search
+        chain_search = isd.chain_search
 
         def spy(*args):
             out = chain_search(*args)
             chains.append(out[3])
             return out
 
-        monkeypatch.setattr(codewords, "_chain_search", spy)
+        monkeypatch.setattr(isd, "chain_search", spy)
         low_weight_search(build_generator(XOR, 40), SearchParams(budget_secs=0.3, workers=2))
         assert len(chains) == 2 and min(chains) >= 1, chains
 
@@ -270,7 +270,7 @@ class TestSweep:
         # rows past 40 start from the row-40 word instead of searching 40
         # steps again; rows recorded from the sweep that re-searched
         searched = []
-        chain_search = codewords._chain_search
+        chain_search = isd.chain_search
         search = codewords.low_weight_search
 
         def chain_spy(g, *args):
@@ -281,7 +281,7 @@ class TestSweep:
             searched.append(("low_weight_search", g.n_steps))
             return search(g, params)
 
-        monkeypatch.setattr(codewords, "_chain_search", chain_spy)
+        monkeypatch.setattr(isd, "chain_search", chain_spy)
         monkeypatch.setattr(codewords, "low_weight_search", search_spy)
         rows = fig2_sweep(range(40, 43), SearchParams(iterations=50))
         assert searched == [("low_weight_search", 40), 40, 41, 42]

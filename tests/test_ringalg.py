@@ -1,5 +1,8 @@
 """Linear algebra over Z_2^32: state matrices, kernels, inverses."""
 
+import itertools
+import random
+
 import pytest
 
 from linsha.primitives import ExpansionKind, M32, expand
@@ -14,6 +17,7 @@ from linsha.ringalg import (
     enumerate_module,
     identity_matrix,
     invert,
+    kernel_mod_2e,
     solve_disturbance_kernel,
 )
 from conftest import KERNEL_GENERATOR, STRICT_GENERATOR
@@ -107,6 +111,24 @@ class TestKernel:
         assert len(gens) == 1
         assert tuple(gens[0]) == STRICT_GENERATOR
         assert element_order(gens[0]) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_mod_2e_spans_every_solution(self, seed):
+        # 3x4 systems mod 2^4 against all 16^4 vectors; the masks make some
+        # systems all-even so that the lifting has levels of work to do
+        rnd = random.Random(seed)
+        exponent, mod = 4, 16
+        mask = (15, 14, 12)[seed % 3]
+        system = [[rnd.randrange(mod) & mask for _ in range(4)] for _ in range(3)]
+        solutions = {x for x in itertools.product(range(mod), repeat=4)
+                     if all(sum(a * b for a, b in zip(row, x)) % mod == 0 for row in system)}
+        gens = kernel_mod_2e(system, exponent)
+        span, frontier = {(0,) * 4}, [(0,) * 4]
+        while frontier:
+            sums = {tuple((a + b) % mod for a, b in zip(e, g)) for e in frontier for g in gens}
+            frontier = list(sums - span)
+            span |= sums
+        assert span == solutions
 
     def test_backward_words_distinguish_kernels(self):
         # the last eight backward-extension words decide collision-production:
