@@ -6,6 +6,12 @@ Boolean functions.  This module enumerates their per-bit differential
 behaviour, derives the per-step activity/cost table for the canonical MSB
 disturbance pattern, validates a single local collision by Monte Carlo, and
 implements the first-16-step message modification.
+
+Bit 31 is also why the Monte Carlo is cheap: adding the MSB is XORing it,
+Σ0/Σ1 are identities and Maj/Ch act bitwise, so a difference injected at
+bit 31 never leaves bit 31 (Chabaud and Joux, CRYPTO 1998).  The paired run
+of every trial is the first run XOR an 8-bit pattern, one bit per register;
+the Monte Carlo steps the first run alone and carries that pattern.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .primitives import FIPS_IV, K, M32, RegisterState, as_block, step
+from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
 from .disturbance import CORRECTION_COEFFS, build_characteristic
 from .ringalg import build_E
 from .variants import VariantConfig, make_variant
@@ -233,20 +239,49 @@ class McResult:
 
 
 _MC_BATCH = 1 << 18          # trials drawn per numpy call within one stream
+_MC_SLICE = 1 << 15          # trials stepped together, so their arrays stay in cache
 
 
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
+    """Successes among nt trials of the disturbance schedule corrections,
+    injected at steps i..i+8; each entry is 0 or the MSB.
+
+    Without S-boxes the paired run is always the first run XOR a bit-31
+    pattern: an MSB difference crosses every addition carry-free, Σ0/Σ1 are
+    identities and Maj/Ch act bitwise.  So only the first run is stepped, and
+    the pair's difference is carried as eight bit-31 planes (a..h), packed
+    eight trials per byte.  Each step sets
+        dt1 = dh ^ de ^ (Ch(e^de, f^df, g^dg) ^ Ch(e, f, g)) ^ dw
+        dt2 = da ^ (Maj(a^da, b^db, c^dc) ^ Maj(a, b, c))
+    with a..g the first run's bit-31 planes entering the step; da becomes
+    dt1 ^ dt2, de becomes dd ^ dt1, and the other registers shift.  A trial
+    succeeds when all eight planes are 0.  Draws, in this order: 8 registers,
+    then 9 message words, nt uniform words each.
+    """
     import numpy as np
 
     config = make_variant("no_sbox")
-    state = state2 = RegisterState(*(rng.integers(0, 1 << 32, nt, dtype=np.uint32)
-                                     for _ in range(8)))
-    for t in range(9):
-        w = rng.integers(0, 1 << 32, nt, dtype=np.uint32)
-        state = step(state, w, K[(i + t) % 64], config)
-        state2 = step(state2, w ^ corrections[t], K[(i + t) % 64], config)
-    same = np.logical_and.reduce([x == x2 for x, x2 in zip(state, state2)])
-    return int(same.sum())
+    regs = [rng.integers(0, 1 << 32, nt, dtype=np.uint32) for _ in range(8)]
+    words = [rng.integers(0, 1 << 32, nt, dtype=np.uint32) for _ in range(9)]
+    dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
+    successes = 0
+    for lo in range(0, nt, _MC_SLICE):
+        state = RegisterState(*(r[lo:lo + _MC_SLICE] for r in regs))
+        a, b, c, e, f, g = (np.packbits(x >= MSB) for x in state[:3] + state[4:7])
+        da = db = dc = dd = de = df = dg = dh = np.zeros_like(a)
+        for t in range(9):
+            dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ dws[t]
+            dt2 = da ^ (maj(a ^ da, b ^ db, c ^ dc) ^ maj(a, b, c))
+            da, db, dc, dd, de, df, dg, dh = dt1 ^ dt2, da, db, dc, dd ^ dt1, de, df, dg
+            if t < 8:       # after the last step only the difference is read
+                state = step(state, words[t][lo:lo + _MC_SLICE], K[(i + t) % 64], config)
+                a, b, c = np.packbits(state.a >= MSB), a, b
+                e, f, g = np.packbits(state.e >= MSB), e, f
+        differs = da | db | dc | dd | de | df | dg | dh
+        # dw flips the padding bits of the last byte too, so count only the trials
+        ns = min(_MC_SLICE, nt - lo)
+        successes += ns - int(np.count_nonzero(np.unpackbits(differs, count=ns)))
+    return successes
 
 
 def _mc_streams(i: int, corrections: np.ndarray, seed: int,

@@ -10,6 +10,7 @@ information-set decoding family, and verifies/extends/sweeps found words.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -148,8 +149,10 @@ class SearchParams:
             raise ValueError("give an iteration count or a time budget")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iteration budget must be positive")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise ValueError("time budget must be positive")
+        if self.budget_secs is not None and not 0 < self.budget_secs < math.inf:
+            # a NaN budget never expires and an infinite one cannot be reported
+            raise ValueError("time budget must be a positive finite number, "
+                             f"got {self.budget_secs}")
         if self.subset_weight not in (1, 2):
             raise ValueError("subset weight 1 or 2 supported")
         if self.window < 0:
@@ -183,8 +186,9 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     word is valid again; the extended incumbent seeds the main chain and is
     only replaced by strictly lighter finds.  A time budget is split into
     equal slices from the start, one per bootstrap stage and the last for
-    the main search.  Deterministic for fixed (seed, workers, iteration
-    budget).
+    the main search.  Every chain runs at least one iteration, so a budget
+    that expires during setup still yields a word.  Deterministic for fixed
+    (seed, workers, iteration budget).
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1

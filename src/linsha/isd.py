@@ -132,6 +132,8 @@ def chain_search(
     part and a pair of rows two more.  Candidates are taken in the order
     rows 0..k-1, then window pairs by (later row, earlier row); an iteration
     keeps the first one of least weight, if strictly below the incumbent.
+    The deadline is checked from the second iteration on, so a chain whose
+    setup outlasts its time slice still weighs one information set.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
@@ -150,7 +152,7 @@ def chain_search(
 
     it = 0
     for it in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and it and time.monotonic() > deadline:
             break
         if fresh_each and it > 0:
             rng.shuffle(perm)

@@ -94,16 +94,35 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("search", "--steps", "1000", "--iterations", "5"),
     ("extend-word", "--file", str(TABLE5), "--steps", "100000"),
     ("verify-word", "--file", str(TABLE5), "--steps", "41"),
+    ("search", "--steps", "40", "--budget-secs", "nan"),
+    ("search", "--steps", "40", "--budget-secs", "inf", "--iterations", "5"),
+    ("fig2", "--budget-secs", "nan"),
+    ("fig2", "--budget-secs", "inf"),
 ], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
         "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
-        "verify-steps-mismatch"])
+        "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
+        "fig2-budget-inf"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
     assert report is None
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--steps", "40", "--budget-secs", "0.001"),
+    ("search", "--steps", "40", "--budget-secs", "0.01", "--workers", "2"),
+    ("fig2", "--budget-secs", "0.01", "--max-steps", "41"),
+], ids=["search", "search-workers-2", "fig2"])
+def test_budget_spent_in_setup_still_reports_a_word(capsys, argv):
+    # the chains' setup outlasts these budgets; each chain still runs once
+    code, report, _ = run(capsys, *argv)
+    assert code == 0
+    weights = ([report["result"]["weight"]] if argv[0] == "search"
+               else [r["weight"] for r in report["result"]["rows"]])
+    assert all(w > 0 for w in weights)
 
 
 def test_collide_relaxed_kernel_fails(capsys):

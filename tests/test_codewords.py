@@ -240,6 +240,18 @@ class TestSearch:
         valid, w = verify_codeword(res.words, XOR, 42)
         assert valid and w == res.weight
 
+    @pytest.mark.parametrize("n, params", [
+        (40, SearchParams(budget_secs=1e-9)),
+        (40, SearchParams(budget_secs=1e-9, workers=2)),
+        (42, SearchParams(budget_secs=1e-9, bootstrap_lengths=(40,))),
+    ], ids=["one-chain", "two-chains", "bootstrap"])
+    def test_budget_spent_in_setup_still_yields_a_word(self, n, params):
+        # every chain's deadline passes during its setup, so each runs once
+        res = low_weight_search(build_generator(XOR, n), params)
+        assert res.iterations_run == params.workers
+        valid, w = verify_codeword(res.words, XOR, n)
+        assert valid and w == res.weight
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SearchParams()
@@ -252,6 +264,9 @@ class TestSearch:
                 SearchParams(iterations=5, workers=workers)
         with pytest.raises(ValueError, match="window"):
             SearchParams(iterations=5, window=-1)
+        for budget in (0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="time budget"):
+                SearchParams(iterations=5, budget_secs=budget)
 
 
 class TestSweep:
