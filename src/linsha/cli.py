@@ -339,8 +339,16 @@ def cmd_fig2(args) -> tuple[Any, str, int]:
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line, without the usage block; the
+    subcommand parsers are made of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="linsha",
         description="Linearised SHA-256 analysis workbench",
     )

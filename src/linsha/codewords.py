@@ -13,9 +13,12 @@ import io
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .primitives import ExpansionKind, expand, rotl, seq_weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 XOR_KINDS = (ExpansionKind.SHA256_XOR, ExpansionKind.SHA1_XOR)
 
@@ -24,61 +27,45 @@ def bitrev32(x: int) -> int:
     return int(f"{x:032b}"[::-1], 2)
 
 
-def words_to_bits(words: Sequence[int]) -> int:
-    acc = 0
-    for i, w in enumerate(words):
-        acc |= w << (32 * i)
-    return acc
-
-
-def bits_to_words(bits: int, n_words: int) -> list[int]:
-    return [(bits >> (32 * i)) & 0xFFFFFFFF for i in range(n_words)]
-
-
 # ---------------------------------------------------------------------------
 # generator matrix and census
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """512 x 32N over GF(2); row j is the expansion of unit message bit j.
+    """512 x 32N over GF(2); row j is the expansion of unit message bit j,
+    bit j % 32 of message word j // 32.
 
-    Rows are packed little-endian into Python ints: bit 32*i + b of a row is
-    bit b of expanded word i.  Rank is 512 because words 0..15 pass through.
+    `words` holds the rows as a read-only (512, N) little-endian uint32
+    array: bit b of words[j, i] is bit 32*i + b of row j, so a row's bytes
+    are its bits in little-endian order.  Rank is 512 because words 0..15
+    pass through.
     """
 
     kind: ExpansionKind
     n_steps: int
-    rows: tuple[int, ...] = field(repr=False)
+    words: np.ndarray = field(repr=False)
 
     @property
     def n_bits(self) -> int:
         return 32 * self.n_steps
 
-    def encode(self, m: Sequence[int]) -> int:
-        """GF(2) product G.m for a 16-word message, as packed bits."""
-        acc = 0
-        for word in range(16):
-            w = m[word]
-            while w:
-                low = w & -w
-                acc ^= self.rows[32 * word + low.bit_length() - 1]
-                w ^= low
-        return acc
-
 
 def build_generator(kind: ExpansionKind, n_steps: int) -> GeneratorMatrix:
+    """All 512 unit messages expanded as one uint32 batch."""
     if kind not in XOR_KINDS:
         raise ValueError("generator matrices exist only for the XOR-linear kinds")
     if n_steps < 16:
         raise ValueError("need at least 16 steps")
-    rows = []
-    for word in range(16):
-        for bit in range(32):
-            m = [0] * 16
-            m[word] = 1 << bit
-            rows.append(words_to_bits(expand(m, kind, n_steps)))
-    return GeneratorMatrix(kind, n_steps, tuple(rows))
+    # imported here: the census and the other commands never load numpy
+    import numpy as np
+
+    j = np.arange(512)
+    units = np.zeros((16, 512), dtype=np.uint32)
+    units[j // 32, j] = np.uint32(1) << (j % 32).astype(np.uint32)
+    words = np.stack(expand(units, kind, n_steps), axis=1).astype("<u4", copy=False)
+    words.flags.writeable = False
+    return GeneratorMatrix(kind, n_steps, words)
 
 
 def single_bit_census(kind: ExpansionKind, n_steps: int) -> tuple[int, int]:
@@ -213,12 +200,12 @@ def _search_from(
     shorter results (if any) as incumbent; params' time budget runs from t0
     and is split into equal slices, one per chain."""
     origin = "search"
-    incumbent: tuple[int | None, int | None] = (None, None)
+    best_w = best_words = None
     for sub in shorter:
-        extended = extend_codeword(sub.words, g.n_steps, g.kind)
+        extended = tuple(extend_codeword(sub.words, g.n_steps, g.kind))
         w = seq_weight(extended)
-        if incumbent[0] is None or w < incumbent[0]:
-            incumbent = (w, words_to_bits(extended))
+        if best_w is None or w < best_w:
+            best_w, best_words = w, extended
             origin = f"bootstrap({sub.n_steps})"
 
     if g.n_bits == 512:
@@ -230,11 +217,10 @@ def _search_from(
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
 
-    iterations =params.iterations if params.iterations is not None else 1 << 62
+    iterations = params.iterations if params.iterations is not None else 1 << 62
     base = iterations // params.workers
     extra = iterations % params.workers
     start = time.monotonic()
-    best_w, best_bits = incumbent
     found_at = None
     iters_total = 0
     for widx in range(params.workers):
@@ -243,21 +229,18 @@ def _search_from(
         if params.budget_secs is not None:
             deadline = start + (t0 + params.budget_secs - start) * (widx + 1) / params.workers
         chain_seed = params.seed * 1000003 + widx
-        w, bits, fat, done = chain_search(
-            g, params, chain_seed, share, deadline, (best_w, best_bits)
-        )
+        w, words, fat, done = chain_search(g, params, chain_seed, share, deadline, best_w)
         iters_total += done
-        if w is not None and (best_w is None or w < best_w):
-            best_w, best_bits, found_at = w, bits, fat
+        if words is not None:
+            best_w, best_words, found_at = w, words, fat
             origin = "search"
-    if best_bits is None:
+    if best_words is None:
         raise RuntimeError("no codeword found; budget too small")
-    words = tuple(bits_to_words(best_bits, g.n_steps))
-    valid, weight = verify_codeword(words, g.kind)
+    valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
     return SearchResult(
-        words, weight, g.kind, g.n_steps, params.algorithm, params.seed,
+        best_words, weight, g.kind, g.n_steps, params.algorithm, params.seed,
         iters_total, found_at, origin, time.monotonic() - t0,
     )
 

@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 
 # The searches work on bit-packed rows: a (512, W) little-endian uint64 array
 # whose row r holds bit c of a codeword at bit c % 64 of word c // 64, so
-# column swaps, eliminations and weighings are whole-array operations.
+# column swaps, eliminations and weighings are whole-array operations.  The
+# generator's (512, N) little-endian uint32 rows have the same bytes.
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -35,15 +36,9 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed.view(np.uint8), bitorder="little")[:n]
 
 
-def _generator_packed(g: GeneratorMatrix) -> np.ndarray:
-    """The generator's rows, packed."""
-    n_bytes = 8 * -(-g.n_bits // 64)
-    raw = b"".join(r.to_bytes(n_bytes, "little") for r in g.rows)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(g.rows), n_bytes // 8)
-
-
 def _permuted(packed: np.ndarray, perm: list[int]) -> np.ndarray:
-    """Packed rows whose bit p is bit perm[p] of the same row of `packed`."""
+    """Packed rows whose bit p is bit perm[p] of the same row of `packed`
+    (uint64 rows, or the generator's uint32 ones)."""
     cols = np.asarray(perm)
     out = np.empty((len(packed), -(-len(perm) // 64)), dtype="<u8")
     for r in range(0, len(packed), 64):       # blocks keep the unpacked bits small
@@ -123,9 +118,11 @@ def chain_search(
     chain_seed: int,
     iterations: int,
     deadline: float | None,
-    incumbent: tuple[int | None, int | None],
-) -> tuple[int | None, int | None, int | None, int]:
-    """One worker chain; returns (best_weight, best_bits, found_at, iters_done).
+    incumbent: int | None,
+) -> tuple[int | None, tuple[int, ...] | None, int | None, int]:
+    """One worker chain; returns (best_weight, words, found_at, iters_done),
+    where words and found_at stay None unless the chain finds a word
+    strictly lighter than the incumbent weight.
 
     Only the redundancy parts of the systematic rows are kept: row j is e_j
     on the information positions, so it weighs one more than its redundancy
@@ -137,12 +134,10 @@ def chain_search(
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
-    gen = _generator_packed(g)
     perm = list(range(n))
     rng.shuffle(perm)
-    red = _systematic(gen, perm, k, n, rng)
-    best_w, best_bits = incumbent
-    found_at = None
+    red = _systematic(g.words, perm, k, n, rng)
+    best_w, best_words, found_at = incumbent, None, None
     fresh_each = params.algorithm in ("stern", "leon")
     pairs = params.algorithm != "leon" and params.subset_weight == 2
     # the Stern window: the first `window` redundancy bits, as one key per row
@@ -156,7 +151,7 @@ def chain_search(
             break
         if fresh_each and it > 0:
             rng.shuffle(perm)
-            red = _systematic(gen, perm, k, n, rng)
+            red = _systematic(g.words, perm, k, n, rng)
         elif not fresh_each:
             # single-column swap keeps the chain cheap: exchange a redundancy
             # column q with information column j where row j has bit q set.
@@ -198,8 +193,7 @@ def chain_search(
             cw[k:] = np.bitwise_xor.reduce([_unpack(red[r], n - k) for r in support])
             orig = np.zeros(n, dtype=np.uint8)
             orig[perm] = cw
-            best_w = w
-            best_bits = int.from_bytes(np.packbits(orig, bitorder="little").tobytes(), "little")
-            found_at = it
+            best_w, found_at = w, it
+            best_words = tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
         it += 1
-    return best_w, best_bits, found_at, it
+    return best_w, best_words, found_at, it

@@ -5,7 +5,7 @@ compression function parameterised by a variant configuration.
 `step` masks only the two words it outputs: on Python ints that keeps its
 results exact, and on numpy `uint32` arrays every operation already wraps
 modulo 2^32, so one state update serves single states, batches and exact
-difference propagation alike."""
+difference propagation alike.  `expand` runs on both the same way."""
 
 from __future__ import annotations
 
@@ -164,10 +164,15 @@ def step(state: RegisterState, w: int, k: int, config: "VariantConfig") -> Regis
 
 
 def expand(m: Sequence[int], kind: ExpansionKind, n: int) -> list[int]:
-    """Expand a 16-word block to n words under the chosen recurrence."""
+    """Expand a 16-word block to n words under the chosen recurrence.
+
+    Words are 32-bit ints, or numpy uint32 arrays of one shape (a batch).
+    """
     if not 16 <= n <= MAX_STEPS:
         raise ValueError(f"expansion length must be in [16, {MAX_STEPS}], got {n}")
-    w = list(as_block(m))
+    if len(m) != 16:
+        raise ValueError(f"message block needs exactly 16 words, got {len(m)}")
+    w = [x & M32 for x in m]
     if kind is ExpansionKind.SHA256_ADD:
         for i in range(16, n):
             w.append((small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16]) & M32)

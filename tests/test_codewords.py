@@ -6,6 +6,7 @@ import pytest
 
 from linsha import codewords, isd
 from linsha.codewords import (
+    XOR_KINDS,
     SearchParams,
     bitrev32,
     build_generator,
@@ -18,7 +19,6 @@ from linsha.codewords import (
     single_bit_census,
     sweep_csv,
     verify_codeword,
-    words_to_bits,
     zero_band_report,
 )
 from linsha.primitives import ExpansionKind, expand, seq_weight
@@ -54,26 +54,21 @@ PINNED_SEARCHES = [
 class TestGenerator:
     def test_dimensions(self):
         g = build_generator(XOR, 40)
-        assert len(g.rows) == 512
+        assert g.words.shape == (512, 40)
         assert g.n_bits == 1280
 
     def test_rejects_nonlinear_kinds(self):
         with pytest.raises(ValueError):
             build_generator(ExpansionKind.SHA256_ADD, 40)
 
-    def test_encode_matches_expansion(self, rng):
-        for kind in (XOR, ExpansionKind.SHA1_XOR):
+    def test_rows_are_unit_message_expansions(self):
+        # with expand's GF(2) linearity this pins every product G.m
+        for kind in XOR_KINDS:
             g = build_generator(kind, 30)
-            for _ in range(20):
-                m = [rng.getrandbits(32) for _ in range(16)]
-                assert g.encode(m) == words_to_bits(expand(m, kind, 30))
-
-    def test_encode_is_gf2_linear(self, rng):
-        g = build_generator(XOR, 24)
-        m1 = [rng.getrandbits(32) for _ in range(16)]
-        m2 = [rng.getrandbits(32) for _ in range(16)]
-        mx = [a ^ b for a, b in zip(m1, m2)]
-        assert g.encode(mx) == g.encode(m1) ^ g.encode(m2)
+            for j in range(512):
+                m = [0] * 16
+                m[j // 32] = 1 << (j % 32)
+                assert g.words[j].tolist() == expand(m, kind, 30)
 
 
 class TestCensus:

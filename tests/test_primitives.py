@@ -180,6 +180,21 @@ class TestExpansion:
         ex = expand(mx, ExpansionKind.SHA256_XOR, 48)
         assert ex == [a ^ b for a, b in zip(e1, e2)]
 
+    @pytest.mark.parametrize("kind", list(ExpansionKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [16, 17, 40, 64, MAX_STEPS])
+    def test_uint32_batch_matches_ints(self, rng, kind, n):
+        blocks = [[rng.getrandbits(32) for _ in range(16)] for _ in range(63)] + [[M32] * 16]
+        batch = expand(np.array(blocks, dtype=np.uint32).T, kind, n)
+        assert len(batch) == n
+        assert all(w.dtype == np.uint32 and w.shape == (64,) for w in batch)
+        for i, block in enumerate(blocks):
+            assert [int(w[i]) for w in batch] == expand(block, kind, n)
+
+    def test_short_block_rejected_on_both_paths(self):
+        for block in ([0] * 15, np.zeros((15, 4), dtype=np.uint32)):
+            with pytest.raises(ValueError, match="exactly 16 words, got 15"):
+                expand(block, ExpansionKind.SHA256_XOR, 40)
+
 
 class TestStepMap:
     def test_add_linear_step_difference_is_state_independent(self, rng):
