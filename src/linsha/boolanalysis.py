@@ -257,12 +257,21 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
     dt1 ^ dt2, de becomes dd ^ dt1, and the other registers shift.  A trial
     succeeds when all eight planes are 0.  Draws, in this order: 8 registers,
     then 9 message words, nt uniform words each.
+
+    The draws are one raw block of ceil(17 nt / 2) PCG64 outputs, read as
+    little-endian 32-bit halves.  They equal 17 calls of
+    Generator.integers(0, 1 << 32, nt, dtype=np.uint32), which over the full
+    range take the low half of each 64-bit output and then the high half, as
+    long as no half is left over from an earlier draw.  None is: every chunk
+    but a stream's last has _MC_BATCH trials, an even number, and the spare
+    half of an odd last chunk is never read.
     """
     import numpy as np
 
     config = make_variant("no_sbox")
-    regs = [rng.integers(0, 1 << 32, nt, dtype=np.uint32) for _ in range(8)]
-    words = [rng.integers(0, 1 << 32, nt, dtype=np.uint32) for _ in range(9)]
+    raw = rng.bit_generator.random_raw((17 * nt + 1) // 2).astype("<u8", copy=False).view("<u4")
+    regs = [raw[k * nt:(k + 1) * nt] for k in range(8)]
+    words = [raw[k * nt:(k + 1) * nt] for k in range(8, 17)]
     dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
     successes = 0
     for lo in range(0, nt, _MC_SLICE):
@@ -297,6 +306,14 @@ def _mc_streams(i: int, corrections: np.ndarray, seed: int,
     return successes
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (taskset, cgroup cpusets), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo_local_collision(
     i: int,
     trials: int,
@@ -311,7 +328,7 @@ def monte_carlo_local_collision(
     whose register difference is fully cancelled after step i+9.  Workers own
     generators seeded from (seed, worker index); their counts merge by
     summation, so results are deterministic for a fixed (seed, workers).  The
-    streams run in up to os.cpu_count() forked processes, each taking one
+    streams run in up to _usable_cpus() forked processes, each taking one
     contiguous block of them; with one process they run inline.
     """
     if not 0 <= i <= 55:
@@ -320,6 +337,8 @@ def monte_carlo_local_collision(
         raise ValueError("at least one trial required")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if disturbance not in (0, MSB):
         raise ValueError("disturbance must be 0 or the MSB")
     # numpy is imported by the functions that use it: every CLI command imports
@@ -334,7 +353,7 @@ def monte_carlo_local_collision(
     base, extra = divmod(trials, workers)
     # streams without trials draw nothing and contribute nothing
     streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
-    procs = min(len(streams), os.cpu_count() or 1)
+    procs = min(len(streams), _usable_cpus())
     if procs == 1:
         successes = _mc_streams(i, schedule, seed, streams)
     else:

@@ -247,8 +247,9 @@ def cmd_local_collision_mc(args) -> tuple[Any, str, int]:
     result = {"start_step": args.start_step, "trials": mc.trials,
               "successes": mc.successes, "rate": mc.rate,
               "log2_rate": mc.log2_rate if mc.successes else None, "e_local": e_local}
+    rate = f" = 2^{mc.log2_rate:.3f}" if mc.successes else ", no successes"
     human = (f"local collision at step {args.start_step}: {mc.successes}/{mc.trials}"
-             f" = 2^{mc.log2_rate:.3f} (independence model 2^-{e_local})")
+             f"{rate} (independence model 2^-{e_local})")
     return result, human, 0
 
 
@@ -261,7 +262,11 @@ def cmd_census(args) -> tuple[Any, str, int]:
 def cmd_search(args) -> tuple[Any, str, int]:
     kind = _parse_kind(args.kind)
     g = build_generator(kind, args.steps)
-    boot = tuple(int(x) for x in args.bootstrap.split(",") if x) if args.bootstrap else ()
+    try:
+        boot = tuple(int(x) for x in args.bootstrap.split(",") if x)
+    except ValueError:
+        raise ValueError(f"--bootstrap must be comma-separated step counts, "
+                         f"got {args.bootstrap!r}") from None
     params = SearchParams(
         algorithm=args.algorithm, iterations=args.iterations,
         budget_secs=args.budget_secs, seed=args.seed, workers=args.workers,

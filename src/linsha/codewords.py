@@ -331,7 +331,9 @@ def fig2_sweep(
     decrease with N in the output, matching the true minimum's behaviour.
     """
     steps_list = sorted(set(step_range))
-    if not steps_list or steps_list[0] < 16 or steps_list[-1] > 64:
+    if not steps_list:
+        raise ValueError("sweep range is empty")
+    if steps_list[0] < 16 or steps_list[-1] > 64:
         raise ValueError("sweep range must lie within [16, 64]")
     rows: dict[int, SweepRow] = {}
     best_searched: SweepRow | None = None

@@ -1,7 +1,6 @@
 """Differential behaviour of Maj/Ch and the no-S-box variant analysis."""
 
 import concurrent.futures
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +162,28 @@ class TestBitPlaneKernel:
                 want = two_run_chunk(np.random.default_rng([seed, 7]), nt, start, schedule)
                 assert got == want, (nt, seed)
 
+    @pytest.mark.parametrize("tail", [5, 20001])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stream_matches_reference_across_chunks(self, seed, tail):
+        # a full chunk, then an odd one: the second chunk's raw block must
+        # start where 17 rng.integers draws of the first leave the generator.
+        # An even chunk only permutes its trials if a draw's halves are
+        # swapped, so the odd 20001-trial tail is what catches that.
+        batch = boolanalysis._MC_BATCH
+        got = boolanalysis._mc_streams(20, MSB_SCHEDULE, seed, [(0, batch + tail)])
+        rng = np.random.default_rng([seed, 0])
+        want = sum(two_run_chunk(rng, nt, 20, MSB_SCHEDULE) for nt in (batch, tail))
+        assert got == want
+
+    def test_chunk_leaves_the_generator_where_integers_does(self):
+        # success counts do not see trials shifted or permuted; the state does
+        for nt in (2, self.SLICE + 2):
+            rng, ref = np.random.default_rng([0, 7]), np.random.default_rng([0, 7])
+            boolanalysis._mc_chunk(rng, nt, 20, MSB_SCHEDULE)
+            for _ in range(17):
+                ref.integers(0, 1 << 32, nt, dtype=np.uint32)
+            assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+
     def test_schedule_matches_the_monte_carlo(self, monkeypatch):
         schedules = []
         chunk = boolanalysis._mc_chunk
@@ -213,14 +234,14 @@ class TestMonteCarlo:
         return sizes
 
     def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 1)
         got = {w: monte_carlo_local_collision(20, 100000, seed=2, workers=w).successes
                for w in self.PINNED}
         assert got == self.PINNED
         assert pool_sizes == []
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
         mc = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
         assert mc.successes == self.PINNED[5]
         assert pool_sizes == [2]
@@ -235,7 +256,7 @@ class TestMonteCarlo:
 
         # the forked workers inherit the patched module
         monkeypatch.setattr(boolanalysis, "_mc_chunk", broken)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="worker failed"):
             monte_carlo_local_collision(20, 1000, seed=2, workers=2)
 
@@ -256,6 +277,8 @@ class TestMonteCarlo:
             monte_carlo_local_collision(20, 0)
         with pytest.raises(ValueError, match="workers"):
             monte_carlo_local_collision(20, 10, workers=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            monte_carlo_local_collision(20, 10, seed=-1)
 
 
 class TestFirstSixteen:

@@ -93,18 +93,31 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("census", "--steps", "abc"),
     ("census", "--frobnicate"),
     ("transmogrify",),
+    ("local-collision-mc", "--trials", "64", "--seed", "-1"),
+    ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"),
+    ("fig2", "--min-steps", "45", "--max-steps", "40"),
 ], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
         "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
         "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
-        "unknown-flag", "unknown-subcommand"])
+        "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
+        "fig2-range-empty"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
     assert report is None
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert NAMED_IN_ERROR.get(argv, "") in err
+
+
+# what the error line must name, where a lower layer's own message would not
+NAMED_IN_ERROR = {
+    ("local-collision-mc", "--trials", "64", "--seed", "-1"): "seed must be non-negative, got -1",
+    ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"): "--bootstrap",
+    ("fig2", "--min-steps", "45", "--max-steps", "40"): "sweep range is empty",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,9 +211,10 @@ def test_local_collision_mc_payload(capsys):
 
 def test_local_collision_mc_without_successes_is_json(capsys):
     # log2 of a zero rate is -inf, which JSON cannot carry; run() rejects it
-    code, report, _ = run(capsys, "local-collision-mc", "--trials", "5")
+    code, report, err = run(capsys, "local-collision-mc", "--trials", "5")
     assert code == 0
     assert report["result"]["successes"] == 0 and report["result"]["log2_rate"] is None
+    assert "0/5, no successes" in err and "inf" not in err
 
 
 def test_local_collision_mc_iterations_aliases_trials(capsys):
