@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -170,6 +171,12 @@ def scaled_kernel(multiple: int, strict: bool = True) -> list[int]:
     return scaled
 
 
+@lru_cache(maxsize=None)
+def _kernel_characteristic(multiple: int, strict: bool) -> Characteristic:
+    """The correction characteristic of multiple * delta, built once per pair."""
+    return build_characteristic(build_E().vec(scaled_kernel(multiple, strict)))
+
+
 def find_collision_add_linear(
     m: Sequence[int] | None,
     multiple: int,
@@ -186,11 +193,12 @@ def find_collision_add_linear(
     deterministic; a mismatch is raised as a hard error with the recurrence
     steps at which the characteristic stops being a valid expansion, since
     that is the only way the cancellation can break.  A multiple that scales
-    delta to zero would pair m with itself and is rejected.
+    delta to zero would pair m with itself and is rejected.  The
+    characteristic depends only on (multiple, strict) and is built once per
+    pair; both compressions and the digest check run on every call.
     """
     block = as_block(m) if m is not None else random_block(Random(seed))
-    disturbance = build_E().vec(scaled_kernel(multiple, strict))
-    characteristic = build_characteristic(disturbance)
+    characteristic = _kernel_characteristic(multiple, strict)
     m_prime = tuple((x + d) & M32 for x, d in zip(block, characteristic.expanded_diff[:16]))
     config = linear_config()
     digest = compress(FIPS_IV, block, config)

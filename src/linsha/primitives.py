@@ -194,10 +194,15 @@ def expand(m: Sequence[int], kind: ExpansionKind, n: int) -> list[int]:
 
 
 def compress(iv: RegisterState, m: Sequence[int], config: "VariantConfig") -> RegisterState:
-    """Run config.steps state updates, then the feed-forward if enabled."""
+    """Run config.steps state updates, then the feed-forward if enabled.
+
+    m may be a (16, n) uint32 batch; the IV is then lifted onto its arrays, so
+    that no sum of int registers outgrows uint32 before it meets a word array.
+    """
     n = config.steps
-    words = expand(m, config.expansion_kind, max(16, n))[:n]
-    state = iv
+    words = expand(m, config.expansion_kind, max(16, n))
+    zero = words[0] & 0
+    state = RegisterState(*(x + zero for x in iv))
     for i in range(n):
         # constants cancel in every difference computation; kept verbatim anyway
         state = step(state, words[i], K[i % 64], config)

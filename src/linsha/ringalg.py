@@ -2,9 +2,12 @@
 
 The expansion recurrence W_i = W_{i-2} + W_{i-7} + W_{i-15} + W_{i-16} makes
 each new word a Z_2^32-linear map of the previous sixteen, so sliding windows
-evolve by a companion matrix.  This module builds that matrix, its 16-step
-block power, the 64x16 expansion matrix E, and solves the kernel conditions
-that characterise expanded differences vanishing on their boundary words.
+evolve by a companion matrix A.  The 64x16 expansion matrix E and the inverse
+of its 16-step block B = A^16 are read off the recurrence itself, run forwards
+and backwards on unit words; the kernel of the boundary conditions, which
+characterise expanded differences vanishing on their boundary words, comes
+from one Smith-form elimination.  `build_A`, `WordMatrix.pow` and `invert`
+are the matrix-power and Gauss-Jordan references for both.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .primitives import M32
+from .primitives import M32, ExpansionKind, expand
 
 WORD_MOD = 1 << 32
 
@@ -82,23 +85,20 @@ def build_A() -> WordMatrix:
 
 
 @lru_cache(maxsize=None)
-def block_advance() -> WordMatrix:
-    """Sixteen-word advance: maps [W_j..W_{j+15}] to [W_{j+16}..W_{j+31}]."""
-    return build_A().pow(16)
-
-
-@lru_cache(maxsize=None)
 def build_E() -> WordMatrix:
     """64x16 matrix with E . M equal to the 64-word identity-sigma ADD expansion.
 
-    Stacked blocks [I; B; B^2; B^3] where B is the 16-word advance; the first
-    block being the identity mirrors words 0..15 passing through unchanged.
+    Column j is the expansion of unit message word j.  Its blocks of sixteen
+    rows are [I; B; B^2; B^3], B being the 16-word advance A^16.
     """
-    b = block_advance()
-    blocks = [identity_matrix(16), b]
-    for _ in range(2):
-        blocks.append(blocks[-1].mul(b))
-    return WordMatrix(tuple(row for block in blocks for row in block.rows))
+    units = [[int(i == j) for i in range(16)] for j in range(16)]
+    cols = [expand(u, ExpansionKind.SHA256_ADD_ID_SIGMA, 64) for u in units]
+    return WordMatrix(tuple(zip(*cols)))
+
+
+def block_advance() -> WordMatrix:
+    """Sixteen-word advance: maps [W_j..W_{j+15}] to [W_{j+16}..W_{j+31}]."""
+    return WordMatrix(build_E().rows[16:32])
 
 
 def invert(m: WordMatrix) -> WordMatrix:
@@ -129,97 +129,59 @@ def invert(m: WordMatrix) -> WordMatrix:
     return WordMatrix(tuple(tuple(row) for row in inv))
 
 
-def _gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Nullspace basis of a GF(2) matrix given as int bitmask rows."""
-    pivots: list[tuple[int, int]] = []
-    for r in rows:
-        for c, pr in pivots:
-            if (r >> c) & 1:
-                r ^= pr
-        if r:
-            c = r.bit_length() - 1
-            pivots = [(pc, (p ^ r) if (p >> c) & 1 else p) for pc, p in pivots]
-            pivots.append((c, r))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for c, p in pivots:
-            if (p & v).bit_count() & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
-
-
 def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[tuple[int, ...]]:
-    """Generators of {x : S.x = 0 mod 2^exponent} by bit-plane lifting.
+    """Generators of {x : S.x = 0 mod 2^exponent} by a Smith-form elimination.
 
-    Level k keeps generators of the kernel mod 2^k; each is either lifted by a
-    correction 2^k.c or dropped, where (lambda, c) solve a GF(2) system mixing
-    the level residuals with S mod 2.  Exact by construction, no division by
-    even ring elements anywhere.  Each generator carries its image S.g: a
-    lifted generator's image is its parents' images plus 2^k times the
-    columns of S in c, so no level recomputes the products.
+    Each stage takes the entry of least 2-adic valuation in the trailing block
+    as pivot, clears its column with row operations P (which keep the kernel)
+    and its row with column operations, recorded in C.  The diagonal D = P.S.C
+    that remains has kernel generators 2^(exponent - v_j).e_j for each
+    diagonal entry of valuation v_j > 0, and e_j where the diagonal is zero or
+    j is past the last row; C maps them onto the kernel of S.  Raises
+    ValueError on an empty or ragged system or an exponent below 1.
     """
     s = [list(row) for row in system]
+    if exponent < 1:
+        raise ValueError(f"exponent must be at least 1, got {exponent}")
+    if not s or not s[0] or any(len(row) != len(s[0]) for row in s):
+        raise ValueError("system must be a non-empty rectangular matrix")
+    mask = (1 << exponent) - 1
     nrows, n = len(s), len(s[0])
-    mod = 1 << exponent
-
-    def image(g: Sequence[int]) -> list[int]:
-        return [sum(a * b for a, b in zip(row, g)) % mod for row in s]
-
-    s_mod2 = []
-    for i in range(nrows):
-        r = 0
-        for j in range(n):
-            if s[i][j] & 1:
-                r |= 1 << j
-        s_mod2.append(r)
-    gens: list[list[int]] = []
-    for v in _gf2_nullspace(s_mod2, n):
-        gens.append([(v >> j) & 1 for j in range(n)])
-    gens += [[2 if j == i else 0 for j in range(n)] for i in range(n)]
-    images = [image(g) for g in gens]
-    for k in range(1, exponent):
-        if any(c % (1 << k) for y in images for c in y):
-            raise AssertionError("lifting invariant broken")
-        m = len(gens)
-        rows = []
-        for i in range(nrows):
-            r = s_mod2[i] << m
-            for j in range(m):
-                if (images[j][i] >> k) & 1:
-                    r |= 1 << j
-            rows.append(r)
-        new_gens, new_images = [], []
-        for v in _gf2_nullspace(rows, m + n):
-            combo = [0] * n
-            y = [0] * nrows
-            for j in range(m):
-                if (v >> j) & 1:
-                    combo = [a + b for a, b in zip(combo, gens[j])]
-                    y = [a + b for a, b in zip(y, images[j])]
-            for t in range(n):
-                if (v >> (m + t)) & 1:
-                    combo[t] += 1 << k
-                    y = [a + (row[t] << k) for a, row in zip(y, s)]
-            combo = [c % mod for c in combo]
-            if any(combo):
-                new_gens.append(combo)
-                new_images.append([c % mod for c in y])
-        gens, images = new_gens, new_images
-    if any(any(image(g)) for g in gens):
-        raise AssertionError("lifting invariant broken")
-    unique = []
-    seen = set()
-    for g in gens:
-        t = tuple(g)
-        if t not in seen and any(g):
-            seen.add(t)
-            unique.append(t)
-    return unique
+    a = [[x & mask for x in row] for row in s]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]     # C, column by column
+    diag = [0] * n
+    for t in range(min(nrows, n)):
+        pivot = min(((x & -x, i, j) for i in range(t, nrows) for j in range(t, n)
+                     if (x := a[i][j])), default=None)
+        if pivot is None:
+            break
+        low, i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        v = low.bit_length() - 1
+        inv = pow(a[t][t] >> v, -1, 1 << exponent)
+        top = a[t]
+        for row in a[t + 1:]:
+            if row[t]:
+                f = (row[t] >> v) * inv
+                row[:] = [(x - f * y) & mask for x, y in zip(row, top)]
+        for k in range(t + 1, n):
+            if top[k]:
+                f = (top[k] >> v) * inv
+                cols[k] = [(x - f * y) & mask for x, y in zip(cols[k], cols[t])]
+                top[k] = 0
+        diag[t] = top[t]
+    gens = []
+    for d, col in zip(diag, cols):
+        if d & 1:
+            continue
+        shift = exponent - (d & -d).bit_length() + 1 if d else 0
+        gens.append(tuple((x << shift) & mask for x in col))
+    if any(sum(x * y for x, y in zip(row, g)) & mask for g in gens for row in s):
+        raise AssertionError("Smith-form kernel generator fails the system")
+    return gens
 
 
 def enumerate_module(gens: Sequence[Sequence[int]], cap: int = 1 << 16) -> set[tuple[int, ...]]:
@@ -254,7 +216,9 @@ def element_order(v: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _block_inverse() -> WordMatrix:
-    return invert(block_advance())
+    """B^-1: column j holds the backward words of unit message word j."""
+    cols = [backward_words([int(i == j) for i in range(16)]) for j in range(16)]
+    return WordMatrix(tuple(zip(*cols)))
 
 
 @lru_cache(maxsize=None)
@@ -307,6 +271,14 @@ def condition_residuals(delta: Sequence[int], strict: bool = False) -> tuple[tup
 
 
 def backward_words(delta: Sequence[int]) -> tuple[int, ...]:
-    """Words -16..-1 of the backward-extended expansion of delta."""
-    return _block_inverse().vec(delta)
+    """Words -16..-1 of the backward-extended expansion of delta.
 
+    The recurrence run backwards, W[i-16] = W[i] - W[i-2] - W[i-7] - W[i-15]
+    for i = 15..0; w[k] holds W[k-16].
+    """
+    if len(delta) != 16:
+        raise ValueError(f"dimension mismatch: 16 vs {len(delta)}")
+    w = [0] * 16 + [int(x) & M32 for x in delta]
+    for i in range(15, -1, -1):
+        w[i] = (w[i + 16] - w[i + 14] - w[i + 9] - w[i + 1]) & M32
+    return tuple(w[:16])

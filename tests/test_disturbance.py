@@ -170,6 +170,30 @@ class TestCollisions:
         applied = tuple((b - a) & M32 for a, b in zip(res.message, res.message_prime))
         assert applied == tuple(c[:16])
 
+    def test_cached_characteristic_keeps_every_diagnostic(self, rng):
+        # each relaxed multiple against its characteristic built by hand: the
+        # mismatch steps and digest difference a failure carries, or the
+        # collision when the hand-built difference cancels
+        from linsha.ringalg import solve_disturbance_kernel
+
+        (delta,) = solve_disturbance_kernel(strict=False)
+        cfg = make_variant("add_linear")
+        m = random_block(rng)
+        for multiple in range(1, 16):
+            scaled = [(multiple * x) & M32 for x in delta]
+            c = build_characteristic(build_E().vec(scaled)).expanded_diff
+            m2 = tuple((a + d) & M32 for a, d in zip(m, c[:16]))
+            digest_delta = compress(FIPS_IV, m2, cfg).sub(compress(FIPS_IV, m, cfg))
+            for _ in range(2):          # a cached characteristic answers alike
+                if any(digest_delta):
+                    with pytest.raises(CollisionError) as exc_info:
+                        find_collision_add_linear(m, multiple, strict=False)
+                    assert exc_info.value.mismatch_steps == expansion_mismatches(c)
+                    assert exc_info.value.digest_delta == digest_delta
+                else:
+                    res = find_collision_add_linear(m, multiple, strict=False)
+                    assert res.message_prime == m2
+
     def test_relaxed_kernel_does_not_collide(self, rng):
         # its backward extension words are nonzero, so the 16-word difference
         # re-expands into a different schedule and cancellation breaks

@@ -141,6 +141,18 @@ class TestCompression:
         short = compress(FIPS_IV, block, make_variant("standard").replace(steps=40))
         assert full != short
 
+    @pytest.mark.parametrize("preset", ["add_linear", "no_sbox", "standard", "xor_expansion"])
+    def test_batched_compress_matches_scalar(self, preset):
+        # (16, n) uint32 message arrays run through the same compress as one
+        # block; every column's digest equals the scalar digest of that block
+        cfg = make_variant(preset)
+        blocks = np.random.default_rng(7).integers(0, 1 << 32, (16, 64), dtype=np.uint32)
+        batched = compress(FIPS_IV, blocks, cfg)
+        assert all(np.asarray(x).dtype == np.uint32 for x in batched)
+        for j in range(blocks.shape[1]):
+            scalar = compress(FIPS_IV, [int(x) for x in blocks[:, j]], cfg)
+            assert tuple(int(x[j]) for x in batched) == scalar
+
 
 class TestExpansion:
     def test_rejects_length_beyond_bound(self):

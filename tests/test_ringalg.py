@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from linsha.ringalg import (
     build_A,
     build_E,
     condition_residuals,
+    condition_system,
     element_order,
     enumerate_module,
     identity_matrix,
@@ -55,6 +57,12 @@ class TestCompanionMatrix:
         m = [rng.getrandbits(32) for _ in range(16)]
         assert list(e.vec(m))[:16] == m
 
+    def test_expansion_operator_equals_block_powers(self):
+        # E from the recurrence against [I; B; B^2; B^3] from the matrix power
+        b = build_A().pow(16)
+        blocks = [identity_matrix(16), b, b.mul(b), b.mul(b).mul(b)]
+        assert build_E().rows == tuple(row for block in blocks for row in block.rows)
+
 
 class TestInversion:
     def test_roundtrip(self, rng):
@@ -63,6 +71,15 @@ class TestInversion:
         v = [rng.getrandbits(32) for _ in range(16)]
         assert list(binv.vec(b.vec(v))) == v
         assert list(b.vec(binv.vec(v))) == v
+
+    def test_backward_words_equal_inverse_block(self, rng):
+        # the recurrence run backwards against Gauss-Jordan inversion of B
+        binv = invert(build_A().pow(16))
+        for _ in range(50):
+            v = [rng.getrandbits(32) for _ in range(16)]
+            assert backward_words(v) == binv.vec(v)
+        with pytest.raises(ValueError):
+            backward_words([0] * 15)
 
     def test_inverse_of_identity(self):
         i = identity_matrix(16)
@@ -112,23 +129,60 @@ class TestKernel:
         assert tuple(gens[0]) == STRICT_GENERATOR
         assert element_order(gens[0]) == 2
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(48))
     def test_kernel_mod_2e_spans_every_solution(self, seed):
-        # 3x4 systems mod 2^4 against all 16^4 vectors; the masks make some
-        # systems all-even so that the lifting has levels of work to do
+        # small systems mod 2^4 against all 16^n vectors, twelve seeds per
+        # shape; the masks make some systems all-even so that the elimination
+        # meets even pivots
         rnd = random.Random(seed)
         exponent, mod = 4, 16
+        nrows, ncols = ((3, 4), (2, 4), (4, 3), (4, 4))[seed // 12]
         mask = (15, 14, 12)[seed % 3]
-        system = [[rnd.randrange(mod) & mask for _ in range(4)] for _ in range(3)]
-        solutions = {x for x in itertools.product(range(mod), repeat=4)
+        system = [[rnd.randrange(mod) & mask for _ in range(ncols)] for _ in range(nrows)]
+        solutions = {x for x in itertools.product(range(mod), repeat=ncols)
                      if all(sum(a * b for a, b in zip(row, x)) % mod == 0 for row in system)}
         gens = kernel_mod_2e(system, exponent)
-        span, frontier = {(0,) * 4}, [(0,) * 4]
+        span, frontier = {(0,) * ncols}, [(0,) * ncols]
         while frontier:
             sums = {tuple((a + b) % mod for a, b in zip(e, g)) for e in frontier for g in gens}
             frontier = list(sums - span)
             span |= sums
         assert span == solutions
+
+    @pytest.mark.parametrize("system, exponent", [
+        ([], 32),
+        ([[]], 32),
+        ([[1, 2], [3]], 32),
+        ([[1, 2]], 0),
+        ([[1, 2]], -1),
+    ])
+    def test_kernel_mod_2e_rejects_bad_input(self, system, exponent):
+        with pytest.raises(ValueError):
+            kernel_mod_2e(system, exponent)
+
+    @pytest.mark.parametrize("strict, det, order", [
+        (False, -(2 ** 4) * 18555710805, 16),
+        (True, 2 * 19424846149, 2),
+    ])
+    def test_kernel_order_is_two_to_the_valuation_of_the_determinant(self, strict, det, order):
+        # over Z_2^32 the kernel of a square system has order 2^v2(det S) when
+        # v2(det S) < 32: the determinant of the signed system, by exact
+        # elimination over the rationals
+        a = [[Fraction(x - (1 << 32) if x >> 31 else x) for x in row]
+             for row in condition_system(strict).rows]
+        d = Fraction(1)
+        for c in range(16):
+            p = next(r for r in range(c, 16) if a[r][c])
+            if p != c:
+                a[c], a[p] = a[p], a[c]
+                d = -d
+            d *= a[c][c]
+            for r in range(c + 1, 16):
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        assert d == det
+        v2 = (det & -det).bit_length() - 1
+        assert len(enumerate_module(solve_disturbance_kernel(strict))) == 2 ** v2 == order
 
     def test_backward_words_distinguish_kernels(self):
         # the last eight backward-extension words decide collision-production:
