@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.monotonic() - t0
     params = {k: v for k, v in vars(args).items()
               if k not in ("handler", "command", "seed") and not k.startswith("_")}
-    report = RunReport(args.command, params, args.seed, round(elapsed, 3), result)
+    report = RunReport(args.command, params, args.seed, round(elapsed, 6), result)
     print(report.dump())
     print(human, file=sys.stderr)
     return code

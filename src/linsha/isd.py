@@ -1,9 +1,11 @@
 """Bit-packed information-set decoding chain for the expansion code.
 
 The numpy half of codewords.low_weight_search: one chain of Canteaut-Chabaud,
-Stern or Leon iterations over the generator's rows packed into uint64 words.
-It lives apart from codewords so that only the commands that search load
-numpy.
+Stern or Leon iterations over the generator's columns packed into uint64
+words.  Each iteration pays for its own column swap (or, for Stern and Leon,
+its own elimination); the information sets it leaves are copied into a batch
+and weighed a batch at a time.  It lives apart from codewords so that only
+the commands that search load numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ import numpy as np
 if TYPE_CHECKING:
     from .codewords import GeneratorMatrix, SearchParams
 
-# The searches work on bit-packed rows: a (512, W) little-endian uint64 array
-# whose row r holds bit c of a codeword at bit c % 64 of word c // 64, so
-# column swaps, eliminations and weighings are whole-array operations.  The
-# generator's (512, N) little-endian uint32 rows have the same bytes.
+# The searches work on a word-major layout: a (W, 512) little-endian uint64
+# array whose element [w, r] holds bits 64w..64w+63 of row r (bit c at bit
+# c % 64 of word c // 64).  A column is then one contiguous row of words, a
+# column swap is one masked XOR of the whole array, and row weights reduce
+# along the outer axis.  A batch of B information sets is a (W, B, 512)
+# array in the same order.  The generator's (512, N) little-endian uint32
+# rows are read from their bytes and transposed once.
+
+BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
+PAIR_CHUNK = 1 << 13        # row pairs weighed at once, plus at most 511
+ROW_BITS = 9                # bits of a row index: the generator has 512 rows
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -36,24 +45,18 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed.view(np.uint8), bitorder="little")[:n]
 
 
-def _permuted(packed: np.ndarray, perm: list[int]) -> np.ndarray:
-    """Packed rows whose bit p is bit perm[p] of the same row of `packed`
-    (uint64 rows, or the generator's uint32 ones)."""
-    cols = np.asarray(perm)
-    out = np.empty((len(packed), -(-len(perm) // 64)), dtype="<u8")
+def _permuted(packed: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Word-major array whose bit p of row r is bit perm[p] of row r of
+    `packed` (row-major uint64 rows, or the generator's uint32 ones)."""
+    out = np.empty((-(-len(perm) // 64), len(packed)), dtype="<u8")
     for r in range(0, len(packed), 64):       # blocks keep the unpacked bits small
         bits = np.unpackbits(packed[r:r + 64].view(np.uint8), axis=1, bitorder="little")
-        out[r:r + 64] = _pack(bits[:, cols])
+        out[:, r:r + 64] = _pack(bits[:, perm]).T
     return out
 
 
-def _bit(arr: np.ndarray, c: int) -> np.ndarray:
-    """Column c of a packed array, as a bool per row."""
-    return ((arr[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(bool)
-
-
 def _systematic(
-    gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random
+    gen: np.ndarray, perm: np.ndarray, k: int, n: int, rng: Random
 ) -> np.ndarray:
     """Redundancy part of the generator in systematic form on positions 0..k-1.
 
@@ -61,55 +64,100 @@ def _systematic(
     (position -> original column); a pivotless column i is swapped with the
     random redundancy column rng.randrange(k, n) until one has a pivot, and
     perm records every swap.  Positions 0..k-1 then hold the identity, so
-    only the packed columns k.. are returned (k is a multiple of 64).
+    only the word-major words of columns k.. are returned (k is a multiple
+    of 64).
     """
     arr = _permuted(gen, perm)
     for i in range(k):
-        wi, bi = i >> 6, np.uint64(1 << (i & 63))
+        wi, si = i >> 6, i & 63
         while True:
-            col = _bit(arr, i)
+            col = (arr[wi] >> si) & 1
             piv = i + int(col[i:].argmax())
             if col[piv]:
                 break
             swap = rng.randrange(k, n)
             perm[i], perm[swap] = perm[swap], perm[i]
-            differ = col != _bit(arr, swap)
-            arr[differ, wi] ^= bi
-            arr[differ, swap >> 6] ^= np.uint64(1 << (swap & 63))
+            differ = col ^ ((arr[swap >> 6] >> (swap & 63)) & 1)
+            arr[wi] ^= differ << si
+            arr[swap >> 6] ^= differ << (swap & 63)
         if piv != i:
-            arr[[i, piv]] = arr[[piv, i]]
+            arr[:, [i, piv]] = arr[:, [piv, i]]
             col[i], col[piv] = col[piv], col[i]
-        col[i] = False
-        arr[col] ^= arr[i]
-    return arr[:, k // 64:].copy()
+        col[i] = 0
+        # row i is zero on the columns before i, so its earlier words stay
+        arr[wi:] ^= arr[wi:, i, None] & -col
+    return arr[k // 64:].copy()
 
 
-def _weights(packed: np.ndarray) -> np.ndarray:
-    """Hamming weight of every packed row."""
-    return np.einsum("ij->i", np.bitwise_count(packed), dtype=np.int64)
+def _weigh(sets: np.ndarray, window: int | None) -> list[tuple[int, tuple[int, ...]]]:
+    """The first lightest candidate of each information set in a word-major
+    (W, B, k) batch of redundancy parts, as (weight, rows).
 
-
-def _window_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (earlier, later) with equal window keys.
-
-    A stable sort by key puts each bucket's rows in ascending order, so
-    comparing the sorted keys at offset d pairs every row with the row d
-    places before it in its bucket.
+    Row r is e_r on the information positions, so it weighs one more than
+    its redundancy part and a pair of rows two more.  Candidates are the
+    rows, then, unless window is None, the row pairs that agree on the first
+    `window` redundancy bits (the Stern window); the least pair by (weight,
+    later row, earlier row) replaces the lightest row only if strictly
+    lighter.
     """
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    earlier, later = [], []
-    d = 1
-    while True:
-        same = sorted_key[d:] == sorted_key[:-d]
-        if not same.any():
-            break
-        earlier.append(order[:-d][same])
-        later.append(order[d:][same])
-        d += 1
-    if not earlier:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return np.concatenate(earlier), np.concatenate(later)
+    n_words, nb, k = sets.shape
+    weights = np.bitwise_count(sets).sum(axis=0, dtype=np.int32)
+    first = weights.argmin(axis=1)
+    least = weights[np.arange(nb), first] + 1
+    best = [(w, (r,)) for w, r in zip(least.tolist(), first.tolist())]
+    if window is None:
+        return best
+    masks = np.array([(1 << min(64, max(0, window - 64 * t))) - 1
+                      for t in range(min(max(1, -(-window // 64)), n_words))], dtype="<u8")
+    keys = sets[:len(masks)] & masks[:, None, None]
+    # sort each set's rows by the first 64 - ROW_BITS window bits, with the
+    # row index below them, so that a bucket's rows come in ascending order
+    pos = np.arange(k)
+    ranked = np.sort(keys[0] << ROW_BITS | pos.astype(np.uint64), axis=1)
+    # the batch's columns are indexed s * k + r: set s, row r
+    order = ((ranked & np.uint64(k - 1)).astype(np.intp) + k * np.arange(nb)[:, None]).ravel()
+    ranked = ranked.ravel() >> ROW_BITS
+    same = ranked[1:] == ranked[:-1]
+    same[k - 1::k] = False
+    # the sorted positions that extend a bucket, and how many places back
+    # each one's bucket starts: it pairs with every position in between
+    at = np.flatnonzero(same) + 1
+    run = np.arange(len(at))
+    depth = run + 1 - np.maximum.accumulate(np.where(np.diff(at, prepend=-1) != 1, run, 0))
+    columns = sets.reshape(n_words, nb * k)
+    keys = keys.reshape(len(masks), nb * k)
+    code = np.full(nb, np.iinfo(np.int64).max)
+    # the positions are taken in chunks of about PAIR_CHUNK pairs
+    ends = np.cumsum(depth)
+    firsts = np.searchsorted(ends, np.arange(0, depth.sum(), PAIR_CHUNK), side="right").tolist()
+    for lo, hi in zip(firsts, [*firsts[1:], len(at)]):
+        t = depth[lo:hi]
+        later = np.repeat(at[lo:hi], t)
+        back = np.arange(1, len(later) + 1) - np.repeat(np.cumsum(t) - t, t)
+        early, late = order[later - back], order[later]
+        if window > 64 - ROW_BITS:     # the sort saw only part of the window
+            agree = (keys.take(early, axis=1) == keys.take(late, axis=1)).all(axis=0)
+            early, late = early[agree], late[agree]
+        pair = columns.take(early, axis=1) ^ columns.take(late, axis=1)
+        pw = np.bitwise_count(pair).sum(axis=0, dtype=np.int64)
+        s = late // k
+        np.minimum.at(code, s, ((pw + 2) * k + late - s * k) * k + early - s * k)
+    for s, c in enumerate(code.tolist()):
+        if c // (k * k) < best[s][0]:
+            best[s] = (c // (k * k), (c % k, c // k % k))
+    return best
+
+
+def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The codeword summing `rows` of one systematic form, in original column
+    order as little-endian uint32 words."""
+    k = red.shape[1]
+    cw = np.zeros(n, dtype=np.uint8)
+    cw[list(rows)] = 1
+    cw[k:] = _unpack(np.bitwise_xor.reduce(red[:, list(rows)], axis=1), n - k)
+    orig = np.zeros(n, dtype=np.uint8)
+    orig[perm] = cw
+    return tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
 
 
 def chain_search(
@@ -124,31 +172,42 @@ def chain_search(
     where words and found_at stay None unless the chain finds a word
     strictly lighter than the incumbent weight.
 
-    Only the redundancy parts of the systematic rows are kept: row j is e_j
-    on the information positions, so it weighs one more than its redundancy
-    part and a pair of rows two more.  Candidates are taken in the order
-    rows 0..k-1, then window pairs by (later row, earlier row); an iteration
-    keeps the first one of least weight, if strictly below the incumbent.
+    Only the redundancy parts of the systematic rows are kept.  Each
+    iteration's information set is copied into a batch, which is weighed as
+    _weigh says when it fills and when the loop ends; the chain keeps the
+    first candidate strictly lighter than the best so far, in iteration order.
+    An iteration whose swap draws all miss weighs nothing but still counts.
     The deadline is checked from the second iteration on, so a chain whose
     setup outlasts its time slice still weighs one information set.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
-    perm = list(range(n))
+    perm = np.arange(n, dtype=np.min_scalar_type(n))   # uint16: small batched copies
     rng.shuffle(perm)
     red = _systematic(g.words, perm, k, n, rng)
     best_w, best_words, found_at = incumbent, None, None
     fresh_each = params.algorithm in ("stern", "leon")
     pairs = params.algorithm != "leon" and params.subset_weight == 2
-    # the Stern window: the first `window` redundancy bits, as one key per row
-    key_words = min(max(1, -(-params.window // 64)), red.shape[1])
-    key_masks = np.array([(1 << min(64, max(0, params.window - 64 * t))) - 1
-                          for t in range(key_words)], dtype="<u8")
+    window = params.window if pairs else None
+    # each batched set is kept with its perm, to build a word from it later
+    size = max(1, BATCH_BYTES // red.nbytes)
+    sets = np.empty((len(red), size, k), dtype=red.dtype)
+    perms = np.empty((size, n), dtype=perm.dtype)
+    its: list[int] = []
 
-    it = 0
+    def weigh_batch() -> None:
+        nonlocal best_w, best_words, found_at
+        for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], window)):
+            if best_w is None or w < best_w:
+                best_w, found_at = w, its[slot]
+                best_words = _word(sets[:, slot], perms[slot], rows, n)
+        its.clear()
+
+    done = 0
     for it in range(iterations):
         if deadline is not None and it and time.monotonic() > deadline:
             break
+        done = it + 1
         if fresh_each and it > 0:
             rng.shuffle(perm)
             red = _systematic(g.words, perm, k, n, rng)
@@ -161,39 +220,22 @@ def chain_search(
             for _ in range(200):
                 q = rng.randrange(k, n)
                 j = rng.randrange(k)
-                wq, bq = (q - k) >> 6, np.uint64(1 << ((q - k) & 63))
-                if red[j, wq] & bq:
+                wq, sq = (q - k) >> 6, (q - k) & 63
+                if (red[wq, j] >> sq) & 1:
                     break
             else:
                 continue
             perm[j], perm[q] = perm[q], perm[j]
-            hit = (red[:, wq] & bq).astype(bool)
-            hit[j] = False
-            row = red[j].copy()
-            row[wq] ^= bq
-            red[hit] ^= row
-        weights = _weights(red)
-        first = int(weights.argmin())
-        w, support = int(weights[first]) + 1, (first,)
-        if pairs:
-            keys = red[:, :key_words] & key_masks
-            key = (keys[:, 0] if key_words == 1
-                   else np.unique(keys, axis=0, return_inverse=True)[1].ravel())
-            earlier, later = _window_pairs(key)
-            if earlier.size:
-                pw = _weights(red[earlier] ^ red[later]) + 2
-                least = int(pw.min())
-                if least < w:
-                    tied = np.flatnonzero(pw == least)
-                    p = tied[np.argmin(later[tied] * k + earlier[tied])]
-                    w, support = least, (int(earlier[p]), int(later[p]))
-        if best_w is None or w < best_w:
-            cw = np.zeros(n, dtype=np.uint8)
-            cw[list(support)] = 1
-            cw[k:] = np.bitwise_xor.reduce([_unpack(red[r], n - k) for r in support])
-            orig = np.zeros(n, dtype=np.uint8)
-            orig[perm] = cw
-            best_w, found_at = w, it
-            best_words = tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
-        it += 1
-    return best_w, best_words, found_at, it
+            hit = -((red[wq] >> sq) & 1)
+            hit[j] = 0
+            row = red[:, j].copy()
+            row[wq] ^= 1 << sq
+            red ^= row[:, None] & hit
+        sets[:, len(its)] = red
+        perms[len(its)] = perm
+        its.append(it)
+        if len(its) == size:
+            weigh_batch()
+    if its:
+        weigh_batch()
+    return best_w, best_words, found_at, done

@@ -134,6 +134,15 @@ def test_budget_spent_in_setup_still_reports_a_word(capsys, argv):
     assert all(w > 0 for w in weights)
 
 
+def test_elapsed_is_reported_to_the_microsecond(capsys, monkeypatch):
+    # a collide run takes ~10 ms, so a millisecond would be a 10% step
+    clock = iter([100.0, 100.0123456])
+    monkeypatch.setattr("linsha.cli.time.monotonic", lambda: next(clock))
+    code, report, _ = run(capsys, "table3")
+    assert code == 0
+    assert report["elapsed_secs"] == 0.012346
+
+
 def test_collide_relaxed_kernel_fails(capsys):
     code, report, _ = run(capsys, "collide", "--relaxed", "--count", "2")
     assert code == 1

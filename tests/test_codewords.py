@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from linsha import codewords, isd
@@ -24,30 +25,51 @@ from linsha.codewords import (
 from linsha.primitives import ExpansionKind, expand, seq_weight
 
 XOR = ExpansionKind.SHA256_XOR
+SHA1_XOR = ExpansionKind.SHA1_XOR
 
 
 def word_hash(words) -> str:
     return hashlib.sha256(",".join(f"{w:08x}" for w in words).encode()).hexdigest()[:16]
 
 
-# (steps, search parameters, weight, found_at_iteration, word hash), recorded
-# from the big-integer search that the bit-packed one replaced; a faster
-# search must find the same words at the same iterations
+# (kind, steps, search parameters, weight, found_at_iteration, word hash),
+# recorded from the big-integer search that the bit-packed one replaced, and
+# (from "n30-window130" on) from the row-at-a-time packed chain that the
+# batched one replaced; a faster search must find the same words at the same
+# iterations
 PINNED_SEARCHES = [
-    pytest.param(40, dict(iterations=1000, seed=0), 316, 702, "01d8b95e2d026def", id="n40-seed0"),
-    pytest.param(40, dict(iterations=1000, seed=1), 315, 188, "1cd0f7e926df7bfb", id="n40-seed1"),
-    pytest.param(40, dict(iterations=1000, seed=5), 310, 291, "5d0db9bb278e4ba1", id="n40-seed5"),
-    pytest.param(42, dict(iterations=500, seed=3), 349, 24, "794ba867edf5f63e", id="n42-seed3"),
-    pytest.param(20, dict(algorithm="stern", iterations=10, seed=1), 1, 0, "e2f769ac7480a276",
-                 id="n20-stern"),
-    pytest.param(40, dict(algorithm="stern", iterations=3, seed=0), 334, 0, "56100b00e0cec2d6",
-                 id="n40-stern"),
-    pytest.param(20, dict(algorithm="leon", iterations=10, seed=1), 1, 0, "e2f769ac7480a276",
-                 id="n20-leon"),
-    pytest.param(20, dict(iterations=60, seed=4, workers=2), 1, 0, "067d01ca465919a9",
+    pytest.param(XOR, 40, dict(iterations=1000, seed=0), 316, 702, "01d8b95e2d026def",
+                 id="n40-seed0"),
+    pytest.param(XOR, 40, dict(iterations=1000, seed=1), 315, 188, "1cd0f7e926df7bfb",
+                 id="n40-seed1"),
+    pytest.param(XOR, 40, dict(iterations=1000, seed=5), 310, 291, "5d0db9bb278e4ba1",
+                 id="n40-seed5"),
+    pytest.param(XOR, 42, dict(iterations=500, seed=3), 349, 24, "794ba867edf5f63e",
+                 id="n42-seed3"),
+    pytest.param(XOR, 20, dict(algorithm="stern", iterations=10, seed=1), 1, 0,
+                 "e2f769ac7480a276", id="n20-stern"),
+    pytest.param(XOR, 40, dict(algorithm="stern", iterations=3, seed=0), 334, 0,
+                 "56100b00e0cec2d6", id="n40-stern"),
+    pytest.param(XOR, 20, dict(algorithm="leon", iterations=10, seed=1), 1, 0,
+                 "e2f769ac7480a276", id="n20-leon"),
+    pytest.param(XOR, 20, dict(iterations=60, seed=4, workers=2), 1, 0, "067d01ca465919a9",
                  id="n20-workers2"),
-    pytest.param(22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
+    pytest.param(XOR, 22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
                  "6704b4e02bf11d9f", id="n22-bootstrap20"),
+    # a three-word window whose pairs beat every single row (p=1 gives 159)
+    pytest.param(XOR, 30, dict(iterations=300, seed=3, window=130), 9, 240,
+                 "d59f8675b821bca7", id="n30-window130"),
+    pytest.param(XOR, 40, dict(iterations=300, seed=0, subset_weight=1), 319, 223,
+                 "289203f1f12a6df8", id="n40-p1"),
+    # every pair of rows shares the empty window: C(512, 2) pairs per set
+    pytest.param(XOR, 40, dict(iterations=20, seed=0, window=0), 303, 5,
+                 "9221fa2fb9d8a760", id="n40-window0"),
+    pytest.param(XOR, 80, dict(iterations=300, seed=0, window=3), 906, 112,
+                 "73b59d763a064ce0", id="n80-window3"),
+    pytest.param(SHA1_XOR, 64, dict(iterations=300, seed=3, window=70), 30, 45,
+                 "3799d40a4455fa4f", id="sha1-n64-window70"),
+    pytest.param(SHA1_XOR, 80, dict(iterations=300, seed=3, window=70), 48, 28,
+                 "bafceb03be85f7a3", id="sha1-n80-window70"),
 ]
 
 
@@ -166,12 +188,92 @@ class TestWordFiles:
             assert bitrev32(bitrev32(x)) == x
 
 
+def reference_weigh(sets, window):
+    """isd._weigh one set at a time on Python ints: the first lightest row,
+    replaced by the least (weight, later, earlier) pair of rows with equal
+    window bits if that pair is strictly lighter."""
+    n_words, nb, k = sets.shape
+    earlier, later = np.triu_indices(k, 1)
+    out = []
+    for s in range(nb):
+        rows = [sum(int(sets[w, s, r]) << 64 * w for w in range(n_words)) for r in range(k)]
+        best = min((r.bit_count() + 1, (i,)) for i, r in enumerate(rows))
+        if window is not None:
+            ids = {}
+            key = np.array([ids.setdefault(r & ((1 << window) - 1), len(ids)) for r in rows])
+            same = key[earlier] == key[later]
+            pairs = zip(earlier[same].tolist(), later[same].tolist())
+            candidates = [((rows[a] ^ rows[b]).bit_count() + 2, b, a) for a, b in pairs]
+            if candidates:
+                w, b, a = min(candidates)
+                if w < best[0]:
+                    best = (w, (a, b))
+        out.append(best)
+    return out
+
+
+class TestBatchedWeighing:
+    @pytest.mark.parametrize("window", [None, 0, 1, 5, 12, 55, 56, 60, 64, 70, 130, 400])
+    def test_matches_one_set_at_a_time(self, window):
+        # each row is one of 8 bases (7 dense, one of weight about 12) plus
+        # noise of weight about 3, so pairs on one base are light, single
+        # rows on the light base about as light, and many candidates tie;
+        # windows past 55 bits are longer than the sort key, and 400 is
+        # longer than the rows
+        rng = np.random.default_rng(window or 0)
+
+        def sparse(shape, ands):
+            out = rng.integers(0, 1 << 64, shape, dtype=np.uint64)
+            for _ in range(ands):
+                out &= rng.integers(0, 1 << 64, shape, dtype=np.uint64)
+            return out
+
+        bases = sparse((3, 4, 8), 0)
+        bases[:, :, 0] = sparse((3, 4), 3)
+        sets = bases[:, :, rng.integers(0, 8, 512)] ^ sparse((3, 4, 512), 5)
+        assert isd._weigh(sets, window) == reference_weigh(sets, window)
+
+    @pytest.mark.parametrize("window, expected", [
+        (12, (3, (30, 40))), (56, (3, (30, 40))),
+        (60, (4, (5,))), (64, (4, (5,))), (70, (4, (5,))), (130, (4, (5,))),
+    ])
+    def test_ties_and_long_windows(self, window, expected):
+        # dense random rows, except: row 5 weighs 3 (a candidate of 4); rows
+        # 10 and 20 differ in bits 150 and 160 only (a pair of 4, which the
+        # row beats); rows 30 and 40 differ in bit 58 only (a pair of 3, but
+        # only for windows of 58 bits or less)
+        rng = np.random.default_rng(1)
+        rows = [int.from_bytes(rng.bytes(24), "little") for _ in range(512)]
+        rows[5] = 1 << 3 | 1 << 77 | 1 << 190
+        rows[20] = rows[10] ^ (1 << 150 | 1 << 160)
+        rows[40] = rows[30] ^ 1 << 58
+        sets = np.array([[[(r >> 64 * w) & (2**64 - 1) for r in rows]] for w in range(3)],
+                        dtype=np.uint64)
+        assert isd._weigh(sets, window) == reference_weigh(sets, window) == [expected]
+
+
 class TestSearch:
-    @pytest.mark.parametrize("steps, params, weight, found_at, digest", PINNED_SEARCHES)
-    def test_pinned_search(self, steps, params, weight, found_at, digest):
-        res = low_weight_search(build_generator(XOR, steps), SearchParams(**params))
+    @pytest.mark.parametrize("kind, steps, params, weight, found_at, digest", PINNED_SEARCHES)
+    def test_pinned_search(self, kind, steps, params, weight, found_at, digest):
+        res = low_weight_search(build_generator(kind, steps), SearchParams(**params))
         assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
             weight, found_at, digest)
+
+    def test_default_chain_finds_the_table5_word(self, table5_words):
+        # the paper's 40-step word, found again by the default chain at seed 0
+        res = low_weight_search(build_generator(XOR, 40), SearchParams(iterations=24000, seed=0))
+        assert (res.weight, res.found_at_iteration) == (26, 23317)
+        assert list(res.words) == table5_words
+
+    @pytest.mark.parametrize("iterations", [4, 7, 11, 13, 18, 30, 31, 34])
+    def test_skipped_last_iteration_is_counted(self, iterations):
+        # at these budgets the chain's last iteration draws 200 swaps that
+        # all miss (the sparse SHA-1 code at 17 steps); it still ran
+        res = low_weight_search(build_generator(SHA1_XOR, 17),
+                                SearchParams(iterations=iterations, seed=0))
+        assert res.iterations_run == iterations
+        assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
+            1, 0, "cd0dd3ede3ae05b8")
 
     def test_sixteen_steps_hits_unit_vector(self):
         g = build_generator(XOR, 16)
