@@ -26,7 +26,7 @@ from random import Random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
-from .disturbance import CORRECTION_COEFFS, build_characteristic
+from .disturbance import build_characteristic, single_disturbance_table
 from .ringalg import build_E
 from .variants import VariantConfig, make_variant
 
@@ -111,10 +111,6 @@ def boolean_diff_table() -> tuple[BooleanDiffEntry, ...]:
     return tuple(entries)
 
 
-def _prob_one_patterns() -> set[tuple[str, tuple[int, int, int]]]:
-    return {(e.func, e.input_diff) for e in boolean_diff_table() if e.probability == 1}
-
-
 # ---------------------------------------------------------------------------
 # MSB disturbance pattern and activity table
 
@@ -144,13 +140,8 @@ def _offset_registers() -> dict[int, tuple[int, ...]]:
     the registers whose difference is an odd multiple are the ones that still
     see the difference in the MSB plane (even multiples of 2^31 vanish).
     """
-    probe = [0] * 24
-    probe[8] = 1
-    rows = build_characteristic(probe, CORRECTION_COEFFS).register_diffs
-    out = {}
-    for k in range(1, 9):
-        out[k] = tuple(r for r in range(8) if rows[8 + k][r] & 1)
-    return out
+    rows = single_disturbance_table()
+    return {k: tuple(r for r in range(8) if rows[k][r] & 1) for k in range(1, 9)}
 
 
 def _designed_flags(dstar: Sequence[int], s: int) -> list[int]:
@@ -171,7 +162,11 @@ class ActivityRow:
     step: int
     maj_pattern: tuple[int, int, int]
     ch_pattern: tuple[int, int, int]
-    cost_e: int
+    conditions: tuple[BooleanDiffEntry, ...]   # what the step costs: Maj's, then Ch's
+
+    @property
+    def cost_e(self) -> int:
+        return len(self.conditions)
 
 
 def derive_activity(dstar: Sequence[int]) -> list[ActivityRow]:
@@ -184,18 +179,16 @@ def derive_activity(dstar: Sequence[int]) -> list[ActivityRow]:
     words = list(dstar)
     if any(w not in (0, MSB) for w in words):
         raise ValueError("activity derivation expects an MSB-only disturbance")
-    free = _prob_one_patterns()
+    # the table holds only active patterns; those that fire surely cost nothing
+    costly = {(e.func, e.input_diff): e for e in boolean_diff_table() if e.probability != 1}
     rows = []
     for s in range(len(words)):
         flags = _designed_flags(words, s)
         maj_pat = (flags[0], flags[1], flags[2])
         ch_pat = (flags[4], flags[5], flags[6])
-        cost = 0
-        if maj_pat != (0, 0, 0) and ("maj", maj_pat) not in free:
-            cost += 1
-        if ch_pat != (0, 0, 0) and ("ch", ch_pat) not in free:
-            cost += 1
-        rows.append(ActivityRow(s, maj_pat, ch_pat, cost))
+        conditions = tuple(costly[key] for key in (("maj", maj_pat), ("ch", ch_pat))
+                           if key in costly)
+        rows.append(ActivityRow(s, maj_pat, ch_pat, conditions))
     return rows
 
 
@@ -409,20 +402,10 @@ class FirstStepsError(RuntimeError):
         self.contradicts = tuple(contradicts)
 
 
-def _conditions_by_step(dstar: Sequence[int], upto: int) -> dict[int, list[BooleanDiffEntry]]:
-    free = _prob_one_patterns()
-    activity = derive_activity(dstar)
-    lookup = {(e.func, e.input_diff): e for e in boolean_diff_table()}
-    out: dict[int, list[BooleanDiffEntry]] = {}
-    for row in activity[:upto]:
-        entries = []
-        if row.maj_pattern != (0, 0, 0) and ("maj", row.maj_pattern) not in free:
-            entries.append(lookup[("maj", row.maj_pattern)])
-        if row.ch_pattern != (0, 0, 0) and ("ch", row.ch_pattern) not in free:
-            entries.append(lookup[("ch", row.ch_pattern)])
-        if entries:
-            out[row.step] = entries
-    return out
+def _conditions_by_step(
+    dstar: Sequence[int], upto: int
+) -> dict[int, tuple[BooleanDiffEntry, ...]]:
+    return {row.step: row.conditions for row in derive_activity(dstar)[:upto] if row.conditions}
 
 
 def _conditions_hold(state: RegisterState, entries: Sequence[BooleanDiffEntry]) -> bool:
@@ -480,7 +463,7 @@ def _contradiction(
 
 
 def _unreachable(
-    conditions: dict[int, list[BooleanDiffEntry]], s: int, state: RegisterState
+    conditions: dict[int, tuple[BooleanDiffEntry, ...]], s: int, state: RegisterState
 ) -> FirstStepsError:
     """The error for step s, whose conditions no choice of word s-1 met.
 

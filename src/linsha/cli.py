@@ -44,10 +44,10 @@ from .codewords import (
 )
 from .disturbance import (
     CollisionError,
-    build_characteristic,
     find_collision_add_linear,
     random_block,
     scaled_kernel,
+    single_disturbance_table,
 )
 from .primitives import FIPS_IV, ExpansionKind, compress, digest_hex, pad_single_block, seq_weight
 from .ringalg import (
@@ -56,9 +56,9 @@ from .ringalg import (
     enumerate_module,
     solve_disturbance_kernel,
 )
-from .variants import VariantConfig, make_variant
+from .variants import PRESETS, VariantConfig, make_variant
 
-PRESETS = ("standard", "add_linear", "no_sbox", "xor_expansion")
+KINDS = [k.value for k in ExpansionKind]
 
 # the commands that run numpy code, and the module each needs; main loads it
 # before the clock starts, and no other command loads numpy at all
@@ -93,14 +93,6 @@ def _resolve_seed(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"--seed must be an integer or 'random', got {raw!r}") from None
-
-
-def _parse_kind(name: str) -> ExpansionKind:
-    try:
-        return ExpansionKind(name)
-    except ValueError:
-        raise ValueError(f"unknown expansion kind {name!r}; choose from "
-                         + ", ".join(k.value for k in ExpansionKind)) from None
 
 
 def _config(args: argparse.Namespace) -> VariantConfig:
@@ -187,13 +179,11 @@ def cmd_collide(args) -> tuple[Any, str, int]:
 
 def cmd_table1(args) -> tuple[Any, str, int]:
     # symbolic correction table: register coefficients for a disturbance at i
-    probe = [0] * 24
-    probe[8] = 1
-    chara = build_characteristic(probe)
+    table = single_disturbance_table()
     rows = []
     names = "abcdefgh"
     for off in range(10):
-        diffs = chara.register_diffs[8 + off]
+        diffs = table[off]
         coeffs = {}
         for name, d in zip(names, diffs):
             signed = d if d < (1 << 31) else d - (1 << 32)
@@ -254,13 +244,13 @@ def cmd_local_collision_mc(args) -> tuple[Any, str, int]:
 
 
 def cmd_census(args) -> tuple[Any, str, int]:
-    kind = _parse_kind(args.kind)
+    kind = ExpansionKind(args.kind)
     lo, hi = single_bit_census(kind, args.steps)
     return {"min": lo, "max": hi}, f"{args.kind} @ {args.steps}: min {lo}, max {hi}", 0
 
 
 def cmd_search(args) -> tuple[Any, str, int]:
-    kind = _parse_kind(args.kind)
+    kind = ExpansionKind(args.kind)
     g = build_generator(kind, args.steps)
     try:
         boot = tuple(int(x) for x in args.bootstrap.split(",") if x)
@@ -269,8 +259,7 @@ def cmd_search(args) -> tuple[Any, str, int]:
                          f"got {args.bootstrap!r}") from None
     params = SearchParams(
         algorithm=args.algorithm, iterations=args.iterations,
-        budget_secs=args.budget_secs, seed=args.seed, workers=args.workers,
-        bootstrap_lengths=boot,
+        budget_secs=args.budget_secs, seed=args.seed, bootstrap_lengths=boot,
     )
     res = low_weight_search(g, params)
     if args.out:
@@ -290,7 +279,7 @@ def cmd_search(args) -> tuple[Any, str, int]:
 
 
 def cmd_verify_word(args) -> tuple[Any, str, int]:
-    kind = _parse_kind(args.kind)
+    kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, weight = resolve_word_order(words, kind)
     if args.steps is not None and len(resolved) != args.steps:
@@ -302,7 +291,7 @@ def cmd_verify_word(args) -> tuple[Any, str, int]:
 
 
 def cmd_extend_word(args) -> tuple[Any, str, int]:
-    kind = _parse_kind(args.kind)
+    kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, _ = resolve_word_order(words, kind)
     if not valid:
@@ -321,12 +310,9 @@ def cmd_extend_word(args) -> tuple[Any, str, int]:
 
 
 def cmd_fig2(args) -> tuple[Any, str, int]:
-    kind = _parse_kind(args.kind)
-    params = SearchParams(
-        algorithm=args.algorithm, iterations=args.iterations,
-        budget_secs=args.budget_secs,
-        seed=args.seed, workers=args.workers,
-    )
+    kind = ExpansionKind(args.kind)
+    params = SearchParams(algorithm=args.algorithm, iterations=args.iterations,
+                          budget_secs=args.budget_secs, seed=args.seed)
     rows = fig2_sweep(range(args.min_steps, args.max_steps + 1), params, kind,
                       search_horizon=args.horizon)
     csv = sweep_csv(rows)
@@ -403,16 +389,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "the count depends only on seed and workers")
 
     p = add("census", cmd_census, help="single-bit expansion weight census")
-    p.add_argument("--kind", default="sha256-xor")
+    p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
 
     p = add("search", cmd_search, help="low-weight codeword search")
-    p.add_argument("--kind", default="sha256-xor")
+    p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="sequential chains that split --iterations / --budget-secs")
     p.add_argument("--algorithm", default="canteaut-chabaud",
                    choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--bootstrap", default="",
@@ -421,17 +405,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-word", cmd_verify_word, help="authenticate a codeword file")
     p.add_argument("--file", required=True)
-    p.add_argument("--kind", default="sha256-xor")
+    p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=None)
 
     p = add("extend-word", cmd_extend_word, help="extend a word to more steps")
     p.add_argument("--file", required=True)
-    p.add_argument("--kind", default="sha256-xor")
+    p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
 
     p = add("fig2", cmd_fig2, help="weight-vs-steps sweep")
-    p.add_argument("--kind", default="sha256-xor")
+    p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--min-steps", type=int, default=16)
     p.add_argument("--max-steps", type=int, default=64)
     p.add_argument("--horizon", type=int, default=42,
@@ -439,8 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=60.0,
                    help="per-step-count budget (default 60)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="sequential chains that split --iterations / --budget-secs")
     p.add_argument("--algorithm", default="canteaut-chabaud",
                    choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--out", default=None, help="write CSV here")

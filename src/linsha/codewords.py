@@ -126,7 +126,6 @@ class SearchParams:
     window: int = 12                      # Stern collision window, bits
     subset_weight: int = 2                # p: rows combined per candidate
     seed: int = 0
-    workers: int = 1
     bootstrap_lengths: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -144,8 +143,6 @@ class SearchParams:
             raise ValueError("subset weight 1 or 2 supported")
         if self.window < 0:
             raise ValueError("Stern window must be non-negative")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     equal slices from the start, one per bootstrap stage and the last for
     the main search.  Every chain runs at least one iteration, so a budget
     that expires during setup still yields a word.  Deterministic for fixed
-    (seed, workers, iteration budget).
+    (seed, iteration budget).
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1
@@ -196,9 +193,8 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
 def _search_from(
     g: GeneratorMatrix, params: SearchParams, shorter: Sequence[SearchResult], t0: float
 ) -> SearchResult:
-    """The chains of low_weight_search, from the lightest extension of the
-    shorter results (if any) as incumbent; params' time budget runs from t0
-    and is split into equal slices, one per chain."""
+    """The chain of low_weight_search, from the lightest extension of the
+    shorter results (if any) as incumbent; params' time budget runs from t0."""
     origin = "search"
     best_w = best_words = None
     for sub in shorter:
@@ -218,22 +214,12 @@ def _search_from(
     from .isd import chain_search
 
     iterations = params.iterations if params.iterations is not None else 1 << 62
-    base = iterations // params.workers
-    extra = iterations % params.workers
-    start = time.monotonic()
-    found_at = None
-    iters_total = 0
-    for widx in range(params.workers):
-        share = base + (1 if widx < extra else 0)
-        deadline = None
-        if params.budget_secs is not None:
-            deadline = start + (t0 + params.budget_secs - start) * (widx + 1) / params.workers
-        chain_seed = params.seed * 1000003 + widx
-        w, words, fat, done = chain_search(g, params, chain_seed, share, deadline, best_w)
-        iters_total += done
-        if words is not None:
-            best_w, best_words, found_at = w, words, fat
-            origin = "search"
+    deadline = t0 + params.budget_secs if params.budget_secs is not None else None
+    # the seed a search's first chain always had, so every earlier result stays bit for bit
+    w, words, found_at, iters_done = chain_search(g, params, params.seed * 1000003,
+                                                  iterations, deadline, best_w)
+    if words is not None:
+        best_w, best_words, origin = w, words, "search"
     if best_words is None:
         raise RuntimeError("no codeword found; budget too small")
     valid, weight = verify_codeword(best_words, g.kind)
@@ -241,7 +227,7 @@ def _search_from(
         raise AssertionError("search produced an invalid word; layout bug")
     return SearchResult(
         best_words, weight, g.kind, g.n_steps, params.algorithm, params.seed,
-        iters_total, found_at, origin, time.monotonic() - t0,
+        iters_done, found_at, origin, time.monotonic() - t0,
     )
 
 

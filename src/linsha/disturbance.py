@@ -112,6 +112,13 @@ def build_characteristic(
     return Characteristic(tuple(c), propagate(linear_config(), c))
 
 
+@lru_cache(maxsize=1)
+def single_disturbance_table() -> tuple[RegisterState, ...]:
+    """Register differences k steps after one unit disturbance with its
+    corrections, for k = 0..16: the table that every disturbance scales."""
+    return build_characteristic([1] + [0] * 15).register_diffs
+
+
 def expansion_mismatches(words: Sequence[int]) -> list[int]:
     """Steps where a sequence violates the identity-sigma ADD recurrence."""
     return [

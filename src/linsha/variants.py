@@ -34,7 +34,9 @@ class VariantConfig:
         return dataclasses.replace(self, **kw)
 
 
-_PRESETS = {
+# in the order the `vectors` command reports them
+PRESETS = {
+    "standard": VariantConfig(SboxMode.STANDARD, BoolMode.STANDARD, ExpansionKind.SHA256_ADD),
     # every operation linear over Z_2^32: identity S-boxes, x+y+z Boolean ops,
     # expansion without the small sigmas
     "add_linear": VariantConfig(
@@ -44,7 +46,6 @@ _PRESETS = {
     "no_sbox": VariantConfig(
         SboxMode.IDENTITY, BoolMode.STANDARD, ExpansionKind.SHA256_ADD_ID_SIGMA
     ),
-    "standard": VariantConfig(SboxMode.STANDARD, BoolMode.STANDARD, ExpansionKind.SHA256_ADD),
     # expansion additions replaced by XOR, compression untouched
     "xor_expansion": VariantConfig(SboxMode.STANDARD, BoolMode.STANDARD, ExpansionKind.SHA256_XOR),
 }
@@ -52,6 +53,6 @@ _PRESETS = {
 
 def make_variant(name: str) -> VariantConfig:
     try:
-        return _PRESETS[name]
+        return PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown variant {name!r}; known: {sorted(_PRESETS)}") from None
+        raise ValueError(f"unknown variant {name!r}; known: {sorted(PRESETS)}") from None

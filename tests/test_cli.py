@@ -71,9 +71,9 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
 
 
 @pytest.mark.parametrize("argv", [
-    ("search", "--steps", "20", "--iterations", "5", "--workers", "0"),
-    ("search", "--steps", "20", "--iterations", "5", "--workers", "-1"),
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "0"),
+    # a search is one chain; independent restarts are separate --seed runs
+    ("search", "--steps", "20", "--iterations", "5", "--workers", "2"),
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"),
     ("local-collision-mc", "--trials", "64", "--workers", "0"),
     ("local-collision-mc", "--iterations", "0"),
     ("collide", "--seed", "abc"),
@@ -96,7 +96,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("local-collision-mc", "--trials", "64", "--seed", "-1"),
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"),
     ("fig2", "--min-steps", "45", "--max-steps", "40"),
-], ids=["search-workers-0", "search-workers-negative", "fig2-workers-0", "mc-workers-0",
+], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
         "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
@@ -117,14 +117,17 @@ NAMED_IN_ERROR = {
     ("local-collision-mc", "--trials", "64", "--seed", "-1"): "seed must be non-negative, got -1",
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"): "--bootstrap",
     ("fig2", "--min-steps", "45", "--max-steps", "40"): "sweep range is empty",
+    ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
+        "unrecognized arguments: --workers 2",
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
+        "unrecognized arguments: --workers 2",
 }
 
 
 @pytest.mark.parametrize("argv", [
     ("search", "--steps", "40", "--budget-secs", "0.001"),
-    ("search", "--steps", "40", "--budget-secs", "0.01", "--workers", "2"),
     ("fig2", "--budget-secs", "0.01", "--max-steps", "41"),
-], ids=["search", "search-workers-2", "fig2"])
+], ids=["search", "fig2"])
 def test_budget_spent_in_setup_still_reports_a_word(capsys, argv):
     # the chains' setup outlasts these budgets; each chain still runs once
     code, report, _ = run(capsys, *argv)

@@ -52,8 +52,6 @@ PINNED_SEARCHES = [
                  "56100b00e0cec2d6", id="n40-stern"),
     pytest.param(XOR, 20, dict(algorithm="leon", iterations=10, seed=1), 1, 0,
                  "e2f769ac7480a276", id="n20-leon"),
-    pytest.param(XOR, 20, dict(iterations=60, seed=4, workers=2), 1, 0, "067d01ca465919a9",
-                 id="n20-workers2"),
     pytest.param(XOR, 22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
                  "6704b4e02bf11d9f", id="n22-bootstrap20"),
     # a three-word window whose pairs beat every single row (p=1 gives 159)
@@ -300,11 +298,6 @@ class TestSearch:
             valid, w = verify_codeword(res.words, XOR)
             assert valid and w == res.weight
 
-    def test_worker_split_reproducible(self):
-        g = build_generator(XOR, 20)
-        p = SearchParams(iterations=60, seed=4, workers=2)
-        assert low_weight_search(g, p).words == low_weight_search(g, p).words
-
     def test_bootstrap_produces_valid_incumbent(self):
         g = build_generator(XOR, 22)
         res = low_weight_search(g, SearchParams(iterations=40, seed=0, bootstrap_lengths=(20,)))
@@ -316,19 +309,6 @@ class TestSearch:
         with pytest.raises(ValueError):
             low_weight_search(g, SearchParams(iterations=5, bootstrap_lengths=(22,)))
 
-    def test_time_budget_is_split_between_chains(self, monkeypatch):
-        chains = []
-        chain_search = isd.chain_search
-
-        def spy(*args):
-            out = chain_search(*args)
-            chains.append(out[3])
-            return out
-
-        monkeypatch.setattr(isd, "chain_search", spy)
-        low_weight_search(build_generator(XOR, 40), SearchParams(budget_secs=0.3, workers=2))
-        assert len(chains) == 2 and min(chains) >= 1, chains
-
     def test_time_budget_is_split_with_bootstrap_stages(self):
         # the main search gets its own slice, not what the bootstrap left over
         res = low_weight_search(build_generator(XOR, 42),
@@ -339,13 +319,12 @@ class TestSearch:
 
     @pytest.mark.parametrize("n, params", [
         (40, SearchParams(budget_secs=1e-9)),
-        (40, SearchParams(budget_secs=1e-9, workers=2)),
         (42, SearchParams(budget_secs=1e-9, bootstrap_lengths=(40,))),
-    ], ids=["one-chain", "two-chains", "bootstrap"])
+    ], ids=["one-chain", "bootstrap"])
     def test_budget_spent_in_setup_still_yields_a_word(self, n, params):
-        # every chain's deadline passes during its setup, so each runs once
+        # the chain's deadline passes during its setup, so it runs once
         res = low_weight_search(build_generator(XOR, n), params)
-        assert res.iterations_run == params.workers
+        assert res.iterations_run == 1
         valid, w = verify_codeword(res.words, XOR, n)
         assert valid and w == res.weight
 
@@ -356,9 +335,6 @@ class TestSearch:
             SearchParams(iterations=0)
         with pytest.raises(ValueError):
             SearchParams(iterations=5, algorithm="gradient-descent")
-        for workers in (0, -1):
-            with pytest.raises(ValueError, match="workers"):
-                SearchParams(iterations=5, workers=workers)
         with pytest.raises(ValueError, match="window"):
             SearchParams(iterations=5, window=-1)
         for budget in (0, -1.0, float("nan"), float("inf"), float("-inf")):
@@ -405,9 +381,9 @@ class TestSweep:
         ]
 
     def test_rows_past_forty_without_row_forty(self):
-        rows = fig2_sweep(range(41, 43), SearchParams(iterations=20, seed=2, workers=2))
+        rows = fig2_sweep(range(41, 43), SearchParams(iterations=20, seed=2))
         assert [(r.steps, r.weight, word_hash(r.words)) for r in rows] == [
-            (41, 333, "705dd9d482570d59"), (42, 353, "0d696dfe7a22a3d8")]
+            (41, 333, "705dd9d482570d59"), (42, 353, "4168737dfd32eac6")]
 
     def test_csv_format(self):
         rows = fig2_sweep(range(16, 19), SearchParams(iterations=40, seed=0))
