@@ -231,8 +231,8 @@ class McResult:
         return math.log2(self.rate) if self.successes else float("-inf")
 
 
-_MC_BATCH = 1 << 18          # trials drawn per numpy call within one stream
-_MC_SLICE = 1 << 15          # trials stepped together, so their arrays stay in cache
+_MC_BATCH = 1 << 18          # trials per chunk: one call of _mc_chunk
+_MC_SLICE = 1 << 15          # trials drawn and stepped together, so their arrays stay in cache
 
 
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
@@ -248,42 +248,63 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
         dt2 = da ^ (Maj(a^da, b^db, c^dc) ^ Maj(a, b, c))
     with a..g the first run's bit-31 planes entering the step; da becomes
     dt1 ^ dt2, de becomes dd ^ dt1, and the other registers shift.  A trial
-    succeeds when all eight planes are 0.  Draws, in this order: 8 registers,
-    then 9 message words, nt uniform words each.
+    succeeds when all eight planes are 0.  Each _MC_SLICE slice is stepped
+    through its eight steps, recording the bit-31 planes of a and e after
+    each; the plane recursion then runs once over the whole chunk.
 
-    The draws are one raw block of ceil(17 nt / 2) PCG64 outputs, read as
+    Draws, in this order: 8 registers, then 9 message words, nt uniform words
+    each; these 17 sub-blocks fill ceil(17 nt / 2) PCG64 outputs, read as
     little-endian 32-bit halves.  They equal 17 calls of
     Generator.integers(0, 1 << 32, nt, dtype=np.uint32), which over the full
     range take the low half of each 64-bit output and then the high half, as
     long as no half is left over from an earlier draw.  None is: every chunk
     but a stream's last has _MC_BATCH trials, an even number, and the spare
-    half of an odd last chunk is never read.
+    half of an odd last chunk is never read.  A slice draws only its own
+    words of each sub-block, jumping to them with PCG64's O(log n) advance;
+    for odd nt a sub-block may start at a high half.  The ninth word is never
+    read, and the generator is left at the end of the chunk's outputs.
     """
     import numpy as np
 
     config = make_variant("no_sbox")
-    raw = rng.bit_generator.random_raw((17 * nt + 1) // 2).astype("<u8", copy=False).view("<u4")
-    regs = [raw[k * nt:(k + 1) * nt] for k in range(8)]
-    words = [raw[k * nt:(k + 1) * nt] for k in range(8, 17)]
-    dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
-    successes = 0
+    bitgen = rng.bit_generator
+    pos = 0             # 64-bit outputs consumed since the chunk's start
+
+    def draw(first: int, n: int) -> np.ndarray:
+        """The chunk's 32-bit words first..first+n-1."""
+        nonlocal pos
+        half = first % 2
+        bitgen.advance(first // 2 - pos)        # a negative jump wraps, as PCG64 allows
+        raw = bitgen.random_raw((half + n + 1) // 2)
+        pos = first // 2 + len(raw)
+        return raw.astype("<u8", copy=False).view("<u4")[half:half + n]
+
+    # bit-31 planes of the first run: rows 0..2 hold c, b, a at the start and
+    # row t+3 holds a after step t, so step t reads a, b, c from rows t+2..t;
+    # e, f, g likewise
+    nb = (nt + 7) // 8
+    ap, ep = np.empty((11, nb), np.uint8), np.empty((11, nb), np.uint8)
     for lo in range(0, nt, _MC_SLICE):
-        state = RegisterState(*(r[lo:lo + _MC_SLICE] for r in regs))
-        a, b, c, e, f, g = (np.packbits(x >= MSB) for x in state[:3] + state[4:7])
-        da = db = dc = dd = de = df = dg = dh = np.zeros_like(a)
-        for t in range(9):
-            dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ dws[t]
-            dt2 = da ^ (maj(a ^ da, b ^ db, c ^ dc) ^ maj(a, b, c))
-            da, db, dc, dd, de, df, dg, dh = dt1 ^ dt2, da, db, dc, dd ^ dt1, de, df, dg
-            if t < 8:       # after the last step only the difference is read
-                state = step(state, words[t][lo:lo + _MC_SLICE], K[(i + t) % 64], config)
-                a, b, c = np.packbits(state.a >= MSB), a, b
-                e, f, g = np.packbits(state.e >= MSB), e, f
-        differs = da | db | dc | dd | de | df | dg | dh
-        # dw flips the padding bits of the last byte too, so count only the trials
         ns = min(_MC_SLICE, nt - lo)
-        successes += ns - int(np.count_nonzero(np.unpackbits(differs, count=ns)))
-    return successes
+        cols = slice(lo // 8, (lo + ns + 7) // 8)
+        state = RegisterState(*(draw(k * nt + lo, ns) for k in range(8)))
+        ap[:3, cols] = np.packbits(np.stack(state[2::-1]) >= MSB, axis=1)
+        ep[:3, cols] = np.packbits(np.stack(state[6:3:-1]) >= MSB, axis=1)
+        for t in range(8):
+            state = step(state, draw((8 + t) * nt + lo, ns), K[(i + t) % 64], config)
+            ap[t + 3, cols] = np.packbits(state.a >= MSB)
+            ep[t + 3, cols] = np.packbits(state.e >= MSB)
+    bitgen.advance((17 * nt + 1) // 2 - pos)
+    dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
+    da = db = dc = dd = de = df = dg = dh = np.zeros(nb, np.uint8)
+    for t in range(9):
+        a, b, c, e, f, g = ap[t + 2], ap[t + 1], ap[t], ep[t + 2], ep[t + 1], ep[t]
+        dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ dws[t]
+        dt2 = da ^ (maj(a ^ da, b ^ db, c ^ dc) ^ maj(a, b, c))
+        da, db, dc, dd, de, df, dg, dh = dt1 ^ dt2, da, db, dc, dd ^ dt1, de, df, dg
+    differs = da | db | dc | dd | de | df | dg | dh
+    # dw flips the padding bits of the last byte too, so count only the trials
+    return nt - int(np.count_nonzero(np.unpackbits(differs, count=nt)))
 
 
 def _mc_streams(i: int, corrections: np.ndarray, seed: int,
@@ -307,6 +328,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _forked_counts(work: Callable[[object], int], blocks: Sequence[object]) -> list[int]:
+    """work(block) for each block, in order.  The caller runs the last block
+    itself; each other block runs in an os.fork child, which writes its count,
+    or its error text, to a pipe and always leaves through os._exit.  Every
+    child is reaped, also when the caller's own block raises; then a child
+    that failed or died without a count raises RuntimeError.
+
+    fork, not spawn: a fresh interpreter would import numpy again.
+    """
+    children = []
+    try:
+        for block in blocks[:-1]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 2              # exit code when no report could be written
+                try:
+                    try:
+                        text, done = str(work(block)), 0
+                    except BaseException as exc:    # reported to the caller, which raises
+                        text, done = f"{type(exc).__name__}: {exc}", 1
+                    os.write(write_end, text.encode()[:4096])   # ≤ PIPE_BUF: sent whole
+                    status = done
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        own = work(blocks[-1])
+    finally:
+        reports = []
+        for pid, read_end in children:
+            # replace: the error text may be cut inside a character
+            with open(read_end, errors="replace") as pipe:
+                text = pipe.read()
+            reports.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
+    for pid, code, text in reports:
+        if code == 1:
+            raise RuntimeError(f"Monte Carlo child {pid} failed: {text}")
+        if code != 0:
+            raise RuntimeError(f"Monte Carlo child {pid} died without a result (exit code {code})")
+    return [int(text) for _, _, text in reports] + [own]
+
+
 def monte_carlo_local_collision(
     i: int,
     trials: int,
@@ -321,8 +385,9 @@ def monte_carlo_local_collision(
     whose register difference is fully cancelled after step i+9.  Workers own
     generators seeded from (seed, worker index); their counts merge by
     summation, so results are deterministic for a fixed (seed, workers).  The
-    streams run in up to _usable_cpus() forked processes, each taking one
-    contiguous block of them; with one process they run inline.
+    streams are split into up to _usable_cpus() contiguous blocks: the caller
+    runs the last block and a forked child each other one; with one block
+    nothing is forked.
     """
     if not 0 <= i <= 55:
         raise ValueError("start step must lie in 0..55")
@@ -347,21 +412,9 @@ def monte_carlo_local_collision(
     # streams without trials draw nothing and contribute nothing
     streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
     procs = min(len(streams), _usable_cpus())
-    if procs == 1:
-        successes = _mc_streams(i, schedule, seed, streams)
-    else:
-        # imported here: every CLI command imports this module, and the
-        # process-pool machinery would add its import time to all of them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
-                  for p in range(procs)]
-        # fork, not forkserver/spawn: a fresh interpreter would re-import numpy
-        with ProcessPoolExecutor(max_workers=procs,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_mc_streams, i, schedule, seed, block) for block in blocks]
-            successes = sum(f.result() for f in futures)
+    blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
+              for p in range(procs)]
+    successes = sum(_forked_counts(lambda block: _mc_streams(i, schedule, seed, block), blocks))
     return McResult(successes, trials, seed, workers)
 
 

@@ -168,7 +168,7 @@ def chain_search(
     deadline: float | None,
     incumbent: int | None,
 ) -> tuple[int | None, tuple[int, ...] | None, int | None, int]:
-    """One worker chain; returns (best_weight, words, found_at, iters_done),
+    """One search chain; returns (best_weight, words, found_at, iters_done),
     where words and found_at stay None unless the chain finds a word
     strictly lighter than the incumbent weight.
 

@@ -1,6 +1,7 @@
 """Differential behaviour of Maj/Ch and the no-S-box variant analysis."""
 
-import concurrent.futures
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,17 @@ class TestBitPlaneKernel:
                 ref.integers(0, 1 << 32, nt, dtype=np.uint32)
             assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
 
+    def test_chunk_draws_one_slice_at_a_time(self):
+        # one raw block of all the chunk's draws would peak at 19.4 MB
+        rng = np.random.default_rng([0, 7])
+        tracemalloc.start()
+        try:
+            boolanalysis._mc_chunk(rng, boolanalysis._MC_BATCH, 20, MSB_SCHEDULE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
+
     def test_schedule_matches_the_monte_carlo(self, monkeypatch):
         schedules = []
         chunk = boolanalysis._mc_chunk
@@ -221,44 +233,94 @@ class TestMonteCarlo:
         assert mc.successes == self.PINNED[workers]
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """max_workers of every process pool the Monte Carlo starts."""
-        sizes = []
+    def forks(self, monkeypatch):
+        """Pid of every child the Monte Carlo forks, as the caller sees it."""
+        pids = []
+        fork = os.fork
 
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-        return sizes
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
 
-    def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, pool_sizes):
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Run _mc_chunk as in_caller in this process and as in_child in forked children."""
+        caller, chunk = os.getpid(), boolanalysis._mc_chunk
+
+        def patch(in_caller=chunk, in_child=chunk):
+            monkeypatch.setattr(boolanalysis, "_mc_chunk", lambda *args: (
+                in_caller if os.getpid() == caller else in_child)(*args))
+
+        return patch
+
+    @staticmethod
+    def raising(message):
+        def chunk(*args):
+            raise RuntimeError(message)
+
+        return chunk
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, forks):
         monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 1)
         got = {w: monte_carlo_local_collision(20, 100000, seed=2, workers=w).successes
                for w in self.PINNED}
         assert got == self.PINNED
-        assert pool_sizes == []
+        assert forks == []
 
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch, pool_sizes):
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, forks):
+        # the caller's own calls of _mc_streams: a child's land in its copy
+        callers = []
+        streams = boolanalysis._mc_streams
+
+        def spy(*args):
+            callers.append(os.getpid())
+            return streams(*args)
+
+        monkeypatch.setattr(boolanalysis, "_mc_streams", spy)
         monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
         mc = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
         assert mc.successes == self.PINNED[5]
-        assert pool_sizes == [2]
+        assert len(forks) == 1 and callers == [os.getpid()]
+        self.assert_reaped(forks)
 
     def test_workers_without_trials_contribute_nothing(self):
         mc = monte_carlo_local_collision(20, 10, seed=2, workers=16, disturbance=0)
         assert (mc.successes, mc.trials) == (10, 10)
 
-    def test_worker_failure_propagates(self, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("worker failed")
-
-        # the forked workers inherit the patched module
-        monkeypatch.setattr(boolanalysis, "_mc_chunk", broken)
+    def test_worker_failure_propagates(self, monkeypatch, forks, chunks):
+        chunks(in_child=self.raising("worker failed"))
         monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        with pytest.raises(RuntimeError, match="failed: RuntimeError: worker failed"):
             monte_carlo_local_collision(20, 1000, seed=2, workers=2)
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_worker_death_without_result_raises(self, monkeypatch, forks, chunks):
+        chunks(in_child=lambda *args: os._exit(3))
+        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
+            monte_carlo_local_collision(20, 1000, seed=2, workers=2)
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_caller_failure_still_reaps_children(self, monkeypatch, forks, chunks):
+        chunks(in_caller=self.raising("caller failed"))
+        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            monte_carlo_local_collision(20, 1000, seed=2, workers=3)
+        assert len(forks) == 2
+        self.assert_reaped(forks)
 
     def test_zero_disturbance_always_collides(self):
         mc = monte_carlo_local_collision(20, 2048, seed=0, disturbance=0)
