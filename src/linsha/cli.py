@@ -5,9 +5,11 @@ Every analysis is a subcommand.  Each run prints a JSON report to stdout
 human summary to stderr.  Exit codes: 0 success, 1 the computation ran but
 the check failed (invalid word, missed collision), 2 usage error.
 
-Only `search`, `fig2` and `local-collision-mc` run numpy code, so only they
-load numpy; they load it before the clock starts, and elapsed_secs never
-includes import time.
+Each command loads only the layer modules it runs, numpy among them where it
+runs numpy code: `main` imports the command's entry of `COMMAND_MODULES`
+before the clock starts, so elapsed_secs never includes import time.  The
+handlers import their names from those modules; the package API's names
+also resolve as attributes of this module, loading their layer on first use.
 """
 
 from __future__ import annotations
@@ -15,55 +17,28 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import secrets
 import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from .boolanalysis import (
-    activity_csv,
-    boolean_diff_table,
-    derive_activity,
-    isolated_condition_count,
-    monte_carlo_local_collision,
-    msb_disturbance,
-)
-from .codewords import (
-    SearchParams,
-    build_generator,
-    extend_codeword,
-    fig2_sweep,
-    load_codeword_file,
-    low_weight_search,
-    resolve_word_order,
-    single_bit_census,
-    sweep_csv,
-    verify_codeword,
-    zero_band_report,
-)
-from .disturbance import (
-    CollisionError,
-    find_collision_add_linear,
-    random_block,
-    scaled_kernel,
-    single_disturbance_table,
-)
+from . import __getattr__      # the package API's names resolve here too, lazily
 from .primitives import FIPS_IV, ExpansionKind, compress, digest_hex, pad_single_block, seq_weight
-from .ringalg import (
-    condition_residuals,
-    element_order,
-    enumerate_module,
-    solve_disturbance_kernel,
-)
 from .variants import PRESETS, VariantConfig, make_variant
 
 KINDS = [k.value for k in ExpansionKind]
 
-# the commands that run numpy code, and the module each needs; main loads it
-# before the clock starts, and no other command loads numpy at all
-NUMPY_MODULES = {"search": "linsha.isd", "fig2": "linsha.isd",
-                 "local-collision-mc": "numpy"}
+# the modules each command runs beyond primitives and variants, which the
+# parser itself needs; main imports them before the clock starts.  numpy
+# imports numpy.random on first use, so the Monte Carlo names it.
+COMMAND_MODULES = {
+    "solve-disturbance": ("linsha.ringalg",),
+    **dict.fromkeys(("collide", "table1"), ("linsha.disturbance",)),
+    **dict.fromkeys(("table2", "table3"), ("linsha.boolanalysis",)),
+    "local-collision-mc": ("linsha.boolanalysis", "numpy.random"),
+    **dict.fromkeys(("census", "verify-word", "extend-word"), ("linsha.codewords",)),
+    **dict.fromkeys(("search", "fig2"), ("linsha.codewords", "linsha.isd")),
+}
 
 
 def _hex(w: int) -> str:
@@ -88,6 +63,7 @@ class RunReport:
 
 def _resolve_seed(raw: str) -> int:
     if raw == "random":
+        import secrets
         return secrets.randbits(32)
     try:
         return int(raw)
@@ -129,6 +105,8 @@ def cmd_variant_run(args) -> tuple[Any, str, int]:
 
 
 def cmd_solve_disturbance(args) -> tuple[Any, str, int]:
+    from .ringalg import (condition_residuals, element_order, enumerate_module,
+                          solve_disturbance_kernel)
     gens = solve_disturbance_kernel(strict=args.strict)
     delta = gens[0]
     multiples = enumerate_module(gens)
@@ -150,6 +128,7 @@ def cmd_solve_disturbance(args) -> tuple[Any, str, int]:
 
 def cmd_collide(args) -> tuple[Any, str, int]:
     import random as _random
+    from .disturbance import CollisionError, find_collision_add_linear, random_block, scaled_kernel
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     scaled_kernel(args.multiple, args.strict)      # rejects the multiple before any trial
@@ -178,6 +157,7 @@ def cmd_collide(args) -> tuple[Any, str, int]:
 
 
 def cmd_table1(args) -> tuple[Any, str, int]:
+    from .disturbance import single_disturbance_table
     # symbolic correction table: register coefficients for a disturbance at i
     table = single_disturbance_table()
     rows = []
@@ -198,6 +178,7 @@ def cmd_table1(args) -> tuple[Any, str, int]:
 
 
 def cmd_table2(args) -> tuple[Any, str, int]:
+    from .boolanalysis import boolean_diff_table
     rows = []
     for e in boolean_diff_table():
         rows.append({
@@ -213,6 +194,8 @@ def cmd_table2(args) -> tuple[Any, str, int]:
 
 
 def cmd_table3(args) -> tuple[Any, str, int]:
+    from .boolanalysis import activity_csv, derive_activity, msb_disturbance
+    from .ringalg import solve_disturbance_kernel
     delta = solve_disturbance_kernel()[0]
     dstar, msb_string = msb_disturbance(delta)
     activity = derive_activity(dstar)
@@ -231,6 +214,7 @@ def cmd_table3(args) -> tuple[Any, str, int]:
 
 
 def cmd_local_collision_mc(args) -> tuple[Any, str, int]:
+    from .boolanalysis import isolated_condition_count, monte_carlo_local_collision
     mc = monte_carlo_local_collision(args.start_step, args.trials, seed=args.seed,
                                      workers=args.workers)
     e_local = isolated_condition_count(args.start_step)
@@ -244,12 +228,14 @@ def cmd_local_collision_mc(args) -> tuple[Any, str, int]:
 
 
 def cmd_census(args) -> tuple[Any, str, int]:
+    from .codewords import single_bit_census
     kind = ExpansionKind(args.kind)
     lo, hi = single_bit_census(kind, args.steps)
     return {"min": lo, "max": hi}, f"{args.kind} @ {args.steps}: min {lo}, max {hi}", 0
 
 
 def cmd_search(args) -> tuple[Any, str, int]:
+    from .codewords import SearchParams, build_generator, low_weight_search
     kind = ExpansionKind(args.kind)
     g = build_generator(kind, args.steps)
     try:
@@ -279,6 +265,7 @@ def cmd_search(args) -> tuple[Any, str, int]:
 
 
 def cmd_verify_word(args) -> tuple[Any, str, int]:
+    from .codewords import load_codeword_file, resolve_word_order, zero_band_report
     kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, weight = resolve_word_order(words, kind)
@@ -291,6 +278,7 @@ def cmd_verify_word(args) -> tuple[Any, str, int]:
 
 
 def cmd_extend_word(args) -> tuple[Any, str, int]:
+    from .codewords import extend_codeword, load_codeword_file, resolve_word_order
     kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, _ = resolve_word_order(words, kind)
@@ -310,6 +298,7 @@ def cmd_extend_word(args) -> tuple[Any, str, int]:
 
 
 def cmd_fig2(args) -> tuple[Any, str, int]:
+    from .codewords import SearchParams, fig2_sweep, sweep_csv
     kind = ExpansionKind(args.kind)
     params = SearchParams(algorithm=args.algorithm, iterations=args.iterations,
                           budget_secs=args.budget_secs, seed=args.seed)
@@ -433,8 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in NUMPY_MODULES:
-        importlib.import_module(NUMPY_MODULES[args.command])
+    for module in COMMAND_MODULES.get(args.command, ()):
+        importlib.import_module(module)
     try:
         args.seed = _resolve_seed(args.seed)
         t0 = time.monotonic()

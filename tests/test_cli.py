@@ -280,25 +280,35 @@ def test_seeded_runs_reproduce(capsys, argv):
 
 
 # One command in a fresh interpreter, numpy optionally unimportable.  Prints
-# its exit code and report, and whether numpy was loaded after importing the
-# CLI and on entering the command's handler.
+# its exit code and report, and the layer modules (and numpy) loaded after
+# `import linsha`, after importing the CLI and on entering the command's
+# handler, with every module the handler itself imported.
 FRESH = """
 import contextlib, io, json, sys
 if sys.argv[1] == "no-numpy":
     sys.modules["numpy"] = None
+def layers():
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None and (m.startswith("linsha.") or m == "numpy"))
+import linsha
+loaded = {"package": layers()}
 from linsha import cli
-loaded = {"import": sys.modules.get("numpy") is not None}
+loaded["cli"] = layers()
 def spy(handler):
     def entered(args):
-        loaded["handler"] = sys.modules.get("numpy") is not None
-        return handler(args)
+        before = set(sys.modules)
+        loaded["handler"] = layers()
+        try:
+            return handler(args)
+        finally:
+            loaded["imported_by_handler"] = sorted(set(sys.modules) - before)
     return entered
 for name in [n for n in vars(cli) if n.startswith("cmd_")]:
     setattr(cli, name, spy(getattr(cli, name)))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[2:])
-print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "numpy": loaded}))
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "loaded": loaded}))
 """
 
 
@@ -312,18 +322,31 @@ def run_fresh(*argv, numpy=True):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv", [
-    ("collide", "--count", "2"),
-    ("vectors",),
-    ("variant-run", "--variant", "no_sbox"),
-    ("solve-disturbance", "--strict"),
-    ("table1",),
-    ("table2",),
-    ("table3",),
-    ("census", "--steps", "20"),
-    ("verify-word", "--file", str(TABLE5)),
-    ("extend-word", "--file", str(TABLE5), "--steps", "48"),
-], ids=lambda argv: argv[0])
+# what the parser needs, then each strand's layers, and each command's own
+PARSER = ["linsha.cli", "linsha.primitives", "linsha.variants"]
+Z32 = ["linsha.disturbance", "linsha.ringalg"]
+NO_SBOX = ["linsha.boolanalysis", *Z32]
+GF2 = ["linsha.codewords"]
+LOADS = [
+    (("vectors",), []),
+    (("variant-run", "--variant", "no_sbox"), []),
+    (("solve-disturbance", "--strict"), ["linsha.ringalg"]),
+    (("collide", "--count", "2"), Z32),
+    (("table1",), Z32),
+    (("table2",), NO_SBOX),
+    (("table3",), NO_SBOX),
+    (("local-collision-mc", "--trials", "4096"), [*NO_SBOX, "numpy"]),
+    (("census", "--steps", "20"), GF2),
+    (("verify-word", "--file", str(TABLE5)), GF2),
+    (("extend-word", "--file", str(TABLE5), "--steps", "48"), GF2),
+    (("search", "--steps", "20", "--iterations", "20"), [*GF2, "linsha.isd", "numpy"]),
+    (("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "10"),
+     [*GF2, "linsha.isd", "numpy"]),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, layers in LOADS if "numpy" not in layers],
+                         ids=lambda argv: argv[0])
 def test_commands_run_without_numpy(capsys, argv):
     fresh = run_fresh(*argv, numpy=False)
     code, report, _ = run(capsys, *argv)
@@ -331,13 +354,18 @@ def test_commands_run_without_numpy(capsys, argv):
     assert fresh["report"]["result"] == report["result"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("search", "--steps", "20", "--iterations", "20"),
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "10"),
-    ("local-collision-mc", "--trials", "4096"),
-], ids=lambda argv: argv[0])
-def test_numpy_loads_before_the_handler(argv):
-    # loading it inside the handler would put its import time in elapsed_secs
+@pytest.mark.parametrize("argv, layers", [pytest.param(*case, id=case[0][0]) for case in LOADS])
+def test_commands_load_their_layers_before_the_clock(argv, layers):
+    # exactly the command's own layers, so collide never loads boolanalysis,
+    # codewords, isd or numpy, and search never loads the Z_2^32 layers or
+    # boolanalysis; an import inside the handler would count in elapsed_secs
     fresh = run_fresh(*argv)
     assert fresh["code"] == 0
-    assert fresh["numpy"] == {"import": False, "handler": True}
+    assert fresh["loaded"]["handler"] == sorted(PARSER + layers)
+    assert fresh["loaded"]["imported_by_handler"] == []
+
+
+def test_import_linsha_loads_no_layer():
+    loaded = run_fresh("vectors")["loaded"]
+    assert loaded["package"] == []
+    assert loaded["cli"] == PARSER
