@@ -19,11 +19,10 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
 from .disturbance import build_characteristic, single_disturbance_table
@@ -45,8 +44,7 @@ MSB_CORRECTION_COEFFS: tuple[int, ...] = (0, 0, 1, 1, 0, 0, 0, 1)
 # per-bit differential behaviour of Ch and Maj
 
 
-@dataclass(frozen=True)
-class BooleanDiffEntry:
+class BooleanDiffEntry(NamedTuple):
     func: str                       # "ch" or "maj"
     input_diff: tuple[int, int, int]
     probability: Fraction
@@ -157,8 +155,7 @@ def _designed_flags(dstar: Sequence[int], s: int) -> list[int]:
     return flags
 
 
-@dataclass(frozen=True)
-class ActivityRow:
+class ActivityRow(NamedTuple):
     step: int
     maj_pattern: tuple[int, int, int]
     ch_pattern: tuple[int, int, int]
@@ -215,8 +212,7 @@ def isolated_condition_count(i: int = 20, horizon: int = 64) -> int:
 # Monte Carlo over a single local collision
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     successes: int
     trials: int
     seed: int

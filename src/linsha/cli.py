@@ -10,16 +10,24 @@ runs numpy code: `main` imports the command's entry of `COMMAND_MODULES`
 before the clock starts, so elapsed_secs never includes import time.  The
 handlers import their names from those modules; the package API's names
 also resolve as attributes of this module, loading their layer on first use.
+
+A process ends through `entry`, which `python -m linsha.cli` and the
+`linsha` console script both call: `main`, then `gc.freeze()`, which moves
+every live object (numpy's too) to the permanent generation, so the
+interpreter's last collection at exit skips them.  Output is still flushed,
+atexit handlers still run, and the exit code is main's.  Frozen cyclic
+garbage is never collected, so each file a command writes is closed by its
+`with` block before main returns.  `main(argv)` itself never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Any
 
 from . import __getattr__      # the package API's names resolve here too, lazily
@@ -47,18 +55,6 @@ def _hex(w: int) -> str:
 
 def _hexlist(words) -> list[str]:
     return [_hex(w) for w in words]
-
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict[str, Any]
-    seed: int | None
-    elapsed_secs: float
-    result: Any
-
-    def dump(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=False, allow_nan=False)
 
 
 def _resolve_seed(raw: str) -> int:
@@ -434,11 +430,20 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.monotonic() - t0
     params = {k: v for k, v in vars(args).items()
               if k not in ("handler", "command", "seed") and not k.startswith("_")}
-    report = RunReport(args.command, params, args.seed, round(elapsed, 6), result)
-    print(report.dump())
+    report = {"command": args.command, "parameters": params, "seed": args.seed,
+              "elapsed_secs": round(elapsed, 6), "result": result}
+    print(json.dumps(report, indent=2, allow_nan=False))
     print(human, file=sys.stderr)
     return code
 
 
+def entry() -> int:
+    """The process entry point: main(), then every live object frozen, so that
+    the interpreter's exit-time collection skips what the run loaded."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -12,10 +12,10 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .primitives import ExpansionKind, expand, rotl, seq_weight
+from .variants import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,8 +31,7 @@ def bitrev32(x: int) -> int:
 # generator matrix and census
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
+class GeneratorMatrix(NamedTuple):
     """512 x 32N over GF(2); row j is the expansion of unit message bit j,
     bit j % 32 of message word j // 32.
 
@@ -44,7 +43,7 @@ class GeneratorMatrix:
 
     kind: ExpansionKind
     n_steps: int
-    words: np.ndarray = field(repr=False)
+    words: np.ndarray
 
     @property
     def n_bits(self) -> int:
@@ -118,35 +117,35 @@ def extend_codeword(
 # low-weight search
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    algorithm: str = "canteaut-chabaud"   # or "stern", "leon"
-    iterations: int | None = None
-    budget_secs: float | None = None
-    window: int = 12                      # Stern collision window, bits
-    subset_weight: int = 2                # p: rows combined per candidate
-    seed: int = 0
-    bootstrap_lengths: tuple[int, ...] = ()
+class SearchParams(Frozen):
+    """A search's algorithm ("canteaut-chabaud", "stern" or "leon"), its
+    iteration or time budget, the Stern collision window in bits, p (the rows
+    combined per candidate), its seed and its bootstrap lengths."""
 
-    def __post_init__(self) -> None:
-        if self.algorithm not in ("canteaut-chabaud", "stern", "leon"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.iterations is None and self.budget_secs is None:
+    __slots__ = ("algorithm", "iterations", "budget_secs", "window", "subset_weight", "seed",
+                 "bootstrap_lengths")
+
+    def __init__(self, algorithm: str = "canteaut-chabaud", iterations: int | None = None,
+                 budget_secs: float | None = None, window: int = 12, subset_weight: int = 2,
+                 seed: int = 0, bootstrap_lengths: tuple[int, ...] = ()) -> None:
+        if algorithm not in ("canteaut-chabaud", "stern", "leon"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        if iterations is None and budget_secs is None:
             raise ValueError("give an iteration count or a time budget")
-        if self.iterations is not None and self.iterations < 1:
+        if iterations is not None and iterations < 1:
             raise ValueError("iteration budget must be positive")
-        if self.budget_secs is not None and not 0 < self.budget_secs < math.inf:
+        if budget_secs is not None and not 0 < budget_secs < math.inf:
             # a NaN budget never expires and an infinite one cannot be reported
-            raise ValueError("time budget must be a positive finite number, "
-                             f"got {self.budget_secs}")
-        if self.subset_weight not in (1, 2):
+            raise ValueError(f"time budget must be a positive finite number, got {budget_secs}")
+        if subset_weight not in (1, 2):
             raise ValueError("subset weight 1 or 2 supported")
-        if self.window < 0:
+        if window < 0:
             raise ValueError("Stern window must be non-negative")
+        self._bind(algorithm, iterations, budget_secs, window, subset_weight, seed,
+                   bootstrap_lengths)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     words: tuple[int, ...]
     weight: int
     kind: ExpansionKind
@@ -181,11 +180,11 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
         if not 16 <= n1 < g.n_steps:
             raise ValueError(f"bootstrap length {n1} outside [16, {g.n_steps})")
         g1 = build_generator(g.kind, n1)
-        sub = replace(params, bootstrap_lengths=())
+        sub = params.replace(bootstrap_lengths=())
         if params.budget_secs is not None:
             # a stage that overran leaves the next one a token slice
             end = t0 + params.budget_secs * (s + 1) / stages
-            sub = replace(sub, budget_secs=max(end - time.monotonic(), 1e-6))
+            sub = sub.replace(budget_secs=max(end - time.monotonic(), 1e-6))
         shorter.append(low_weight_search(g1, sub))
     return _search_from(g, params, shorter, t0)
 
@@ -290,14 +289,13 @@ def zero_band_report(words: Sequence[int]) -> dict:
 # weight-vs-steps sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     steps: int
     weight: int
     method: str                  # "searched" or "extended"
     seed: int
     iterations: int
-    words: tuple[int, ...] = field(repr=False)
+    words: tuple[int, ...]
 
 
 def fig2_sweep(
@@ -323,7 +321,7 @@ def fig2_sweep(
         raise ValueError("sweep range must lie within [16, 64]")
     rows: dict[int, SweepRow] = {}
     best_searched: SweepRow | None = None
-    params = replace(params, bootstrap_lengths=())
+    params = params.replace(bootstrap_lengths=())
     searched40: SearchResult | None = None
     for n in steps_list:
         if n <= search_horizon:

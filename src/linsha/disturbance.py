@@ -9,10 +9,9 @@ Everything here is exact arithmetic over Z_2^32: no probabilities involved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .primitives import (
     BoolMode,
@@ -27,7 +26,7 @@ from .primitives import (
     step,
 )
 from .ringalg import build_E, element_order, solve_disturbance_kernel
-from .variants import VariantConfig, make_variant
+from .variants import Frozen, VariantConfig, make_variant
 
 # correction coefficients at offsets 1..8 after a disturbance (offset 0 is the
 # disturbance itself, weight 1); offset 7 is the lone structural zero
@@ -41,28 +40,26 @@ def delay(s: Sequence[int], a: int, n: int) -> list[int]:
     return ([0] * a + list(s))[:n]
 
 
-@dataclass(frozen=True)
-class DisturbanceVector:
+class DisturbanceVector(Frozen):
     """64 expanded words that are the image of some 16-word message difference."""
 
-    words: tuple[int, ...]
+    __slots__ = ("words",)
 
-    def __post_init__(self) -> None:
-        if len(self.words) != 64:
+    def __init__(self, words: tuple[int, ...]) -> None:
+        if len(words) != 64:
             raise ValueError("disturbance vector needs 64 words")
-        expanded = expand(self.words[:16], ExpansionKind.SHA256_ADD_ID_SIGMA, 64)
-        if list(self.words) != expanded:
+        if list(words) != expand(words[:16], ExpansionKind.SHA256_ADD_ID_SIGMA, 64):
             raise ValueError("words are not a valid identity-sigma ADD expansion")
+        self._bind(words)
 
     @classmethod
     def from_message_difference(cls, delta_m: Sequence[int]) -> "DisturbanceVector":
         return cls(build_E().vec(as_block(delta_m)))
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(NamedTuple):
     expanded_diff: tuple[int, ...]
-    register_diffs: tuple[tuple[int, ...], ...] = field(repr=False)
+    register_diffs: tuple[tuple[int, ...], ...]
 
     @property
     def collides(self) -> bool:
@@ -137,8 +134,7 @@ class CollisionError(RuntimeError):
         self.digest_delta = digest_delta
 
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     message: tuple[int, ...]
     message_prime: tuple[int, ...]
     digest: RegisterState

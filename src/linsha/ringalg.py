@@ -6,29 +6,28 @@ evolve by a companion matrix A.  The 64x16 expansion matrix E and the inverse
 of its 16-step block B = A^16 are read off the recurrence itself, run forwards
 and backwards on unit words; the kernel of the boundary conditions, which
 characterise expanded differences vanishing on their boundary words, comes
-from one Smith-form elimination.  `build_A`, `WordMatrix.pow` and `invert`
-are the matrix-power and Gauss-Jordan references for both.
+from one Smith-form elimination.  The matrix-power and Gauss-Jordan
+references that E and B^-1 are checked against live with the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .primitives import M32, ExpansionKind, expand
+from .variants import Frozen
 
-WORD_MOD = 1 << 32
 
+class WordMatrix(Frozen):
+    """A matrix over Z_2^32 as a tuple of equal-length rows."""
 
-@dataclass(frozen=True)
-class WordMatrix:
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged matrix")
+        self._bind(rows)
 
     @property
     def nrows(self) -> int:
@@ -38,50 +37,10 @@ class WordMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def mul(self, other: "WordMatrix") -> "WordMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        ot = list(zip(*other.rows))
-        return WordMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) & M32 for col in ot)
-                for row in self.rows
-            )
-        )
-
     def vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if self.ncols != len(v):
             raise ValueError(f"dimension mismatch: {self.ncols} vs {len(v)}")
         return tuple(sum(a * b for a, b in zip(row, v)) & M32 for row in self.rows)
-
-    def pow(self, k: int) -> "WordMatrix":
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return identity_matrix(self.nrows) if result is None else result
-
-
-def identity_matrix(n: int) -> WordMatrix:
-    return WordMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def build_A() -> WordMatrix:
-    """One-word window advance: rows 0..14 shift, row 15 applies the recurrence.
-
-    Taps {0, 1, 9, 14} express W_{j+16} = W_j + W_{j+1} + W_{j+9} + W_{j+14},
-    which is the recurrence read off a window starting at j.
-    """
-    rows = [[0] * 16 for _ in range(16)]
-    for r in range(15):
-        rows[r][r + 1] = 1
-    for c in (0, 1, 9, 14):
-        rows[15][c] = 1
-    return WordMatrix(tuple(tuple(r) for r in rows))
 
 
 @lru_cache(maxsize=None)
@@ -94,39 +53,6 @@ def build_E() -> WordMatrix:
     units = [[int(i == j) for i in range(16)] for j in range(16)]
     cols = [expand(u, ExpansionKind.SHA256_ADD_ID_SIGMA, 64) for u in units]
     return WordMatrix(tuple(zip(*cols)))
-
-
-def block_advance() -> WordMatrix:
-    """Sixteen-word advance: maps [W_j..W_{j+15}] to [W_{j+16}..W_{j+31}]."""
-    return WordMatrix(build_E().rows[16:32])
-
-
-def invert(m: WordMatrix) -> WordMatrix:
-    """Inverse over Z_2^32 by Gaussian elimination on odd (unit) pivots.
-
-    A matrix is invertible mod 2^32 exactly when it is invertible mod 2, so
-    pivot selection only needs an odd entry in the column.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("only square matrices invert")
-    a = [list(row) for row in m.rows]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] & 1), None)
-        if piv is None:
-            raise ValueError("matrix singular mod 2")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = pow(a[col][col], -1, WORD_MOD)
-        a[col] = [(x * scale) & M32 for x in a[col]]
-        inv[col] = [(x * scale) & M32 for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) & M32 for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) & M32 for x, y in zip(inv[r], inv[col])]
-    return WordMatrix(tuple(tuple(row) for row in inv))
 
 
 def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[tuple[int, ...]]:

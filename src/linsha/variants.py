@@ -1,37 +1,67 @@
-"""Named weakened variants assembled from configuration flags."""
+"""Named weakened variants assembled from configuration flags, and the base
+of the package's validated immutable values, VariantConfig among them."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import get_type_hints
 
 from .primitives import MAX_STEPS, BoolMode, ExpansionKind, SboxMode
 
 
-@dataclasses.dataclass(frozen=True)
-class VariantConfig:
-    sbox_mode: SboxMode
-    bool_mode: BoolMode
-    expansion_kind: ExpansionKind
-    steps: int = 64
-    feed_forward: bool = True
+class Frozen:
+    """Base of the immutable value classes whose construction checks its
+    fields.  A subclass names its fields in __slots__, in the order of its
+    __init__'s parameters, and binds them with _bind.  Instances compare and
+    hash by their fields, and replace() builds a new one, so it checks again.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {self.steps}")
+    __slots__ = ()
+
+    def _bind(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; use replace()")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class VariantConfig(Frozen):
+    """Which S-boxes, Boolean functions and expansion a variant uses, its
+    step count and whether it feeds forward."""
+
+    __slots__ = ("sbox_mode", "bool_mode", "expansion_kind", "steps", "feed_forward")
+
+    def __init__(self, sbox_mode: SboxMode, bool_mode: BoolMode, expansion_kind: ExpansionKind,
+                 steps: int = 64, feed_forward: bool = True) -> None:
+        if not 0 <= steps <= MAX_STEPS:
+            raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {steps}")
+        self._bind(sbox_mode, bool_mode, expansion_kind, steps, feed_forward)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), default=lambda mode: mode.value)
-
-    @classmethod
-    def from_json(cls, doc: str) -> "VariantConfig":
-        raw = json.loads(doc)
-        types = get_type_hints(cls)
-        return cls(**{f.name: types[f.name](raw[f.name]) for f in dataclasses.fields(cls)})
-
-    def replace(self, **kw) -> "VariantConfig":
-        return dataclasses.replace(self, **kw)
+        return json.dumps(self._asdict(), default=lambda mode: mode.value)
 
 
 # in the order the `vectors` command reports them

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, reproducibility."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import linsha
-from linsha.cli import main
+from linsha.cli import entry, main
 from conftest import DATA
 
 TABLE5 = DATA / "table5.hex"
@@ -282,7 +283,8 @@ def test_seeded_runs_reproduce(capsys, argv):
 # One command in a fresh interpreter, numpy optionally unimportable.  Prints
 # its exit code and report, and the layer modules (and numpy) loaded after
 # `import linsha`, after importing the CLI and on entering the command's
-# handler, with every module the handler itself imported.
+# handler, with every module the handler itself imported and every module
+# loaded once main has returned.
 FRESH = """
 import contextlib, io, json, sys
 if sys.argv[1] == "no-numpy":
@@ -308,16 +310,22 @@ for name in [n for n in vars(cli) if n.startswith("cmd_")]:
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[2:])
+loaded["after_main"] = sorted(sys.modules)
 print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "loaded": loaded}))
 """
 
 
-def run_fresh(*argv, numpy=True):
+def src_env():
+    """The environment with this checkout's linsha first on PYTHONPATH."""
     src = str(Path(linsha.__file__).resolve().parents[1])
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@functools.lru_cache(maxsize=None)
+def run_fresh(*argv, numpy=True):
     proc = subprocess.run([sys.executable, "-c", FRESH, "numpy" if numpy else "no-numpy", *argv],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, timeout=300, env=src_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -365,7 +373,92 @@ def test_commands_load_their_layers_before_the_clock(argv, layers):
     assert fresh["loaded"]["imported_by_handler"] == []
 
 
+@pytest.mark.parametrize("argv, layers", [pytest.param(*case, id=case[0][0]) for case in LOADS])
+def test_no_command_loads_dataclasses(argv, layers):
+    # dataclasses imports inspect, ast, dis and tokenize; numpy imports
+    # inspect itself, so only the commands without numpy shed it too
+    after = run_fresh(*argv)["loaded"]["after_main"]
+    assert "dataclasses" not in after
+    if "numpy" not in layers:
+        assert "inspect" not in after
+
+
 def test_import_linsha_loads_no_layer():
     loaded = run_fresh("vectors")["loaded"]
     assert loaded["package"] == []
     assert loaded["cli"] == PARSER
+
+
+def test_report_keys_keep_their_order(capsys):
+    code, report, _ = run(capsys, "table2")
+    assert code == 0
+    assert list(report) == ["command", "parameters", "seed", "elapsed_secs", "result"]
+
+
+def corrupt(tmp_path):
+    """A copy of table5.hex with its first word changed."""
+    lines = TABLE5.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = "f" + lines[first][1:]
+    path = tmp_path / "corrupt.hex"
+    path.write_text("".join(lines))
+    return path
+
+
+def test_only_the_entry_point_freezes(capsys, monkeypatch, tmp_path):
+    # main runs in callers' processes, so only entry() may freeze the collector
+    frozen = []
+    monkeypatch.setattr("linsha.cli.gc.freeze", lambda: frozen.append(True))
+    assert run(capsys, "table2")[0] == 0 and frozen == []
+    monkeypatch.setattr(sys, "argv", ["linsha", "verify-word", "--file", str(corrupt(tmp_path))])
+    assert entry() == 1 and frozen == [True]
+
+
+# entry() as a process ends: an atexit hook, registered before the run, says
+# at exit whether the run's objects were frozen
+ENDING = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count() > 0}", file=sys.stderr))
+from linsha.cli import entry
+raise SystemExit(entry())
+"""
+
+
+def run_process(*argv, module=True):
+    head = ["-m", "linsha.cli"] if module else ["-c", ENDING]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True,
+                          timeout=300, env=src_env())
+
+
+def test_process_exit_codes_and_output(tmp_path):
+    done = run_process("vectors")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["command"] == "vectors"      # one whole document
+    assert done.stdout.endswith("}\n")
+
+    done = run_process("verify-word", "--file", str(corrupt(tmp_path)))
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["result"]["valid"] is False
+
+    done = run_process("collide", "--multiple", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+
+
+def test_process_writes_whole_files(capsys, tmp_path):
+    csv, word = tmp_path / "activity.csv", tmp_path / "word.hex"
+    assert run_process("table3", "--out", str(csv)).returncode == 0
+    assert csv.read_text() == run(capsys, "table3")[1]["result"]["csv"]
+    done = run_process("search", "--steps", "24", "--iterations", "50", "--out", str(word))
+    assert done.returncode == 0
+    lines = word.read_text().splitlines()
+    assert len(lines) == 2 + 24 and lines[2:] == json.loads(done.stdout)["result"]["words"]
+    code, report, _ = run(capsys, "verify-word", "--file", str(word), "--steps", "24")
+    assert code == 0 and report["result"]["weight"] == json.loads(done.stdout)["result"]["weight"]
+
+
+def test_process_ends_frozen_and_runs_atexit_handlers(tmp_path):
+    done = run_process("verify-word", "--file", str(corrupt(tmp_path)), module=False)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["result"]["valid"] is False
+    assert done.stderr.endswith("frozen True\n")

