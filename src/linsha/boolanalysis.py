@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
 from .disturbance import build_characteristic, single_disturbance_table
 from .ringalg import build_E
-from .variants import VariantConfig, make_variant
+from .variants import make_variant
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,14 +51,6 @@ class BooleanDiffEntry(NamedTuple):
     condition: str | None           # GF(2) equation for the output diff to fire
     mask: tuple[int, int, int]      # affine form: diff = mask.(x,y,z) ^ offset
     offset: int
-
-
-def _bit_ch(x: int, y: int, z: int) -> int:
-    return (x & y) | ((1 ^ x) & z)
-
-
-def _bit_maj(x: int, y: int, z: int) -> int:
-    return (x & y) | (x & z) | (y & z)
 
 
 def _affine_fit(func: Callable[[int, int, int], int], d: tuple[int, int, int]):
@@ -95,7 +87,7 @@ def _condition_string(mask: tuple[int, int, int], offset: int) -> str | None:
 def boolean_diff_table() -> tuple[BooleanDiffEntry, ...]:
     """All 14 nonzero input differences for Ch and Maj, by enumeration."""
     entries = []
-    for name, func in (("ch", _bit_ch), ("maj", _bit_maj)):
+    for name, func in (("ch", ch), ("maj", maj)):
         for dx in (0, 1):
             for dy in (0, 1):
                 for dz in (0, 1):
@@ -199,11 +191,11 @@ def activity_csv(rows: Sequence[ActivityRow]) -> str:
     return buf.getvalue()
 
 
-def isolated_condition_count(i: int = 20, horizon: int = 64) -> int:
+def isolated_condition_count(i: int = 20) -> int:
     """Condition count of one isolated corrected MSB disturbance at step i."""
-    if not 0 <= i <= horizon - 9:
-        raise ValueError("disturbance must fit 9 steps before the horizon")
-    words = [0] * horizon
+    if not 0 <= i <= 55:
+        raise ValueError("disturbance must fit 9 steps before step 64")
+    words = [0] * 64
     words[i] = MSB
     return sum(r.cost_e for r in derive_activity(words))
 

@@ -32,7 +32,7 @@ from typing import Any
 
 from . import __getattr__      # the package API's names resolve here too, lazily
 from .primitives import FIPS_IV, ExpansionKind, compress, digest_hex, pad_single_block, seq_weight
-from .variants import PRESETS, VariantConfig, make_variant
+from .variants import PRESETS, make_variant
 
 KINDS = [k.value for k in ExpansionKind]
 
@@ -67,13 +67,6 @@ def _resolve_seed(raw: str) -> int:
         raise ValueError(f"--seed must be an integer or 'random', got {raw!r}") from None
 
 
-def _config(args: argparse.Namespace) -> VariantConfig:
-    cfg = make_variant(args.variant)
-    if getattr(args, "steps", None) is not None:
-        cfg = cfg.replace(steps=args.steps)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (result payload, human summary, exit code)
 
@@ -92,11 +85,13 @@ def cmd_vectors(args) -> tuple[Any, str, int]:
 
 
 def cmd_variant_run(args) -> tuple[Any, str, int]:
-    cfg = _config(args)
+    cfg = make_variant(args.variant)
+    if args.steps is not None:
+        cfg = cfg.replace(steps=args.steps)
     block = pad_single_block(args.message.encode())
     state = compress(FIPS_IV, block, cfg)
-    result = {"variant": json.loads(cfg.to_json()), "message": args.message,
-              "digest": digest_hex(state)}
+    variant = {k: getattr(v, "value", v) for k, v in cfg._asdict().items()}
+    result = {"variant": variant, "message": args.message, "digest": digest_hex(state)}
     return result, f"{args.variant}({args.message!r}) = {digest_hex(state)}", 0
 
 
@@ -135,11 +130,12 @@ def cmd_collide(args) -> tuple[Any, str, int]:
     for trial in range(args.count):
         m = random_block(rng)
         try:
-            res = find_collision_add_linear(m, args.multiple, seed=args.seed,
-                                            strict=args.strict)
+            res = find_collision_add_linear(m, args.multiple, strict=args.strict)
             succeeded += 1
             if sample is None:
-                sample = json.loads(res.to_json())
+                sample = {"message": _hexlist(res.message),
+                          "message_prime": _hexlist(res.message_prime),
+                          "digest": _hexlist(res.digest), "variant": "add_linear"}
         except CollisionError as exc:
             if failure is None:
                 failure = {"trial": trial, "mismatch_steps": list(exc.mismatch_steps),
@@ -354,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="kernel multiple in 0..15 that leaves the difference nonzero: "
                         "odd for the strict kernel (order 2), nonzero for the relaxed one")
     p.add_argument("--count", type=int, default=1, help="random messages to try")
-    p.add_argument("--strict", action="store_true", default=True)
     p.add_argument("--relaxed", dest="strict", action="store_false",
                    help="use the relaxed order-16 kernel instead (no collisions)")
 

@@ -119,15 +119,14 @@ def extend_codeword(
 
 class SearchParams(Frozen):
     """A search's algorithm ("canteaut-chabaud", "stern" or "leon"), its
-    iteration or time budget, the Stern collision window in bits, p (the rows
-    combined per candidate), its seed and its bootstrap lengths."""
+    iteration or time budget, the Stern collision window in bits, its seed
+    and its bootstrap lengths."""
 
-    __slots__ = ("algorithm", "iterations", "budget_secs", "window", "subset_weight", "seed",
-                 "bootstrap_lengths")
+    __slots__ = ("algorithm", "iterations", "budget_secs", "window", "seed", "bootstrap_lengths")
 
     def __init__(self, algorithm: str = "canteaut-chabaud", iterations: int | None = None,
-                 budget_secs: float | None = None, window: int = 12, subset_weight: int = 2,
-                 seed: int = 0, bootstrap_lengths: tuple[int, ...] = ()) -> None:
+                 budget_secs: float | None = None, window: int = 12, seed: int = 0,
+                 bootstrap_lengths: tuple[int, ...] = ()) -> None:
         if algorithm not in ("canteaut-chabaud", "stern", "leon"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if iterations is None and budget_secs is None:
@@ -137,12 +136,9 @@ class SearchParams(Frozen):
         if budget_secs is not None and not 0 < budget_secs < math.inf:
             # a NaN budget never expires and an infinite one cannot be reported
             raise ValueError(f"time budget must be a positive finite number, got {budget_secs}")
-        if subset_weight not in (1, 2):
-            raise ValueError("subset weight 1 or 2 supported")
         if window < 0:
             raise ValueError("Stern window must be non-negative")
-        self._bind(algorithm, iterations, budget_secs, window, subset_weight, seed,
-                   bootstrap_lengths)
+        self._bind(algorithm, iterations, budget_secs, window, seed, bootstrap_lengths)
 
 
 class SearchResult(NamedTuple):
@@ -153,7 +149,7 @@ class SearchResult(NamedTuple):
     algorithm: str
     seed: int
     iterations_run: int
-    found_at_iteration: int | None       # None: incumbent from bootstrap survived
+    found_at_iteration: int | None       # None: no chain iteration found the word
     origin: str                          # "search" or "bootstrap(<n>)"
     elapsed_secs: float
 
@@ -207,7 +203,7 @@ def _search_from(
         # no redundancy, every vector is a codeword; a unit vector is minimal
         words = tuple([1] + [0] * (g.n_steps - 1))
         return SearchResult(words, 1, g.kind, g.n_steps, params.algorithm,
-                            params.seed, 0, 0, "search", time.monotonic() - t0)
+                            params.seed, 0, None, "search", time.monotonic() - t0)
 
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
@@ -344,10 +340,7 @@ def fig2_sweep(
                            best_searched.iterations, tuple(ext))
         rows[n] = row
     # monotone truncation pass, longest to shortest
-    for n in reversed(steps_list[:-1]):
-        longer = next((m for m in steps_list if m > n), None)
-        if longer is None:
-            continue
+    for n, longer in reversed(list(zip(steps_list, steps_list[1:]))):
         src = rows[longer]
         truncated = list(src.words[:n])
         w = seq_weight(truncated)

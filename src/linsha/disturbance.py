@@ -8,25 +8,21 @@ Everything here is exact arithmetic over Z_2^32: no probabilities involved.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from random import Random
 from typing import NamedTuple, Sequence
 
 from .primitives import (
     BoolMode,
-    ExpansionKind,
     FIPS_IV,
     M32,
     RegisterState,
     SboxMode,
     as_block,
     compress,
-    expand,
     step,
 )
 from .ringalg import build_E, element_order, solve_disturbance_kernel
-from .variants import Frozen, VariantConfig, make_variant
+from .variants import VariantConfig, make_variant
 
 # correction coefficients at offsets 1..8 after a disturbance (offset 0 is the
 # disturbance itself, weight 1); offset 7 is the lone structural zero
@@ -40,23 +36,6 @@ def delay(s: Sequence[int], a: int, n: int) -> list[int]:
     return ([0] * a + list(s))[:n]
 
 
-class DisturbanceVector(Frozen):
-    """64 expanded words that are the image of some 16-word message difference."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: tuple[int, ...]) -> None:
-        if len(words) != 64:
-            raise ValueError("disturbance vector needs 64 words")
-        if list(words) != expand(words[:16], ExpansionKind.SHA256_ADD_ID_SIGMA, 64):
-            raise ValueError("words are not a valid identity-sigma ADD expansion")
-        self._bind(words)
-
-    @classmethod
-    def from_message_difference(cls, delta_m: Sequence[int]) -> "DisturbanceVector":
-        return cls(build_E().vec(as_block(delta_m)))
-
-
 class Characteristic(NamedTuple):
     expanded_diff: tuple[int, ...]
     register_diffs: tuple[tuple[int, ...], ...]
@@ -64,10 +43,6 @@ class Characteristic(NamedTuple):
     @property
     def collides(self) -> bool:
         return all(x == 0 for x in self.register_diffs[-1])
-
-
-def linear_config() -> VariantConfig:
-    return make_variant("add_linear")
 
 
 def propagate(config: VariantConfig, delta_w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -92,12 +67,12 @@ def build_characteristic(
     """Superpose a disturbance sequence with its weighted delayed copies.
 
     C[j] = delta[j] + sum_k coeffs[k-1] * delta[j-k]; negative coefficients are
-    Z_2^32 residues.  Accepts raw sequences so isolated single-word
-    disturbances can be studied alongside full disturbance vectors.
+    Z_2^32 residues.  delta is any word sequence: a full 64-word disturbance
+    vector or an isolated single-word disturbance.
     """
     if len(coeffs) != 8:
         raise ValueError("expected 8 correction coefficients for offsets 1..8")
-    words = [int(x) & M32 for x in (delta.words if isinstance(delta, DisturbanceVector) else delta)]
+    words = [int(x) & M32 for x in delta]
     n = len(words)
     c = []
     for j in range(n):
@@ -106,7 +81,7 @@ def build_characteristic(
             if j - k >= 0:
                 acc += coeffs[k - 1] * words[j - k]
         c.append(acc & M32)
-    return Characteristic(tuple(c), propagate(linear_config(), c))
+    return Characteristic(tuple(c), propagate(make_variant("add_linear"), c))
 
 
 @lru_cache(maxsize=1)
@@ -140,18 +115,8 @@ class CollisionResult(NamedTuple):
     digest: RegisterState
     digest_prime: RegisterState
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "message": [f"{x:08x}" for x in self.message],
-                "message_prime": [f"{x:08x}" for x in self.message_prime],
-                "digest": [f"{x:08x}" for x in self.digest],
-                "variant": "add_linear",
-            }
-        )
 
-
-def random_block(rng: Random) -> tuple[int, ...]:
+def random_block(rng) -> tuple[int, ...]:
     return tuple(rng.getrandbits(32) for _ in range(16))
 
 
@@ -181,10 +146,7 @@ def _kernel_characteristic(multiple: int, strict: bool) -> Characteristic:
 
 
 def find_collision_add_linear(
-    m: Sequence[int] | None,
-    multiple: int,
-    seed: int = 0,
-    strict: bool = True,
+    m: Sequence[int], multiple: int, strict: bool = True
 ) -> CollisionResult:
     """Apply a kernel-derived characteristic to m and demand equal digests.
 
@@ -200,10 +162,10 @@ def find_collision_add_linear(
     characteristic depends only on (multiple, strict) and is built once per
     pair; both compressions and the digest check run on every call.
     """
-    block = as_block(m) if m is not None else random_block(Random(seed))
+    block = as_block(m)
     characteristic = _kernel_characteristic(multiple, strict)
     m_prime = tuple((x + d) & M32 for x, d in zip(block, characteristic.expanded_diff[:16]))
-    config = linear_config()
+    config = make_variant("add_linear")
     digest = compress(FIPS_IV, block, config)
     digest_prime = compress(FIPS_IV, m_prime, config)
     if digest != digest_prime:

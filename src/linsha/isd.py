@@ -187,8 +187,7 @@ def chain_search(
     red = _systematic(g.words, perm, k, n, rng)
     best_w, best_words, found_at = incumbent, None, None
     fresh_each = params.algorithm in ("stern", "leon")
-    pairs = params.algorithm != "leon" and params.subset_weight == 2
-    window = params.window if pairs else None
+    window = params.window if params.algorithm != "leon" else None
     # each batched set is kept with its perm, to build a word from it later
     size = max(1, BATCH_BYTES // red.nbytes)
     sets = np.empty((len(red), size, k), dtype=red.dtype)

@@ -3,8 +3,6 @@ of the package's validated immutable values, VariantConfig among them."""
 
 from __future__ import annotations
 
-import json
-
 from .primitives import MAX_STEPS, BoolMode, ExpansionKind, SboxMode
 
 
@@ -59,9 +57,6 @@ class VariantConfig(Frozen):
         if not 0 <= steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {steps}")
         self._bind(sbox_mode, bool_mode, expansion_kind, steps, feed_forward)
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), default=lambda mode: mode.value)
 
 
 # in the order the `vectors` command reports them

@@ -3,17 +3,13 @@
 `linsha.ringalg` reads E and B^-1 off the expansion recurrence, run forwards
 and backwards on unit words.  The routes here are the textbook ones they are
 checked against: the companion matrix A of the recurrence, its powers, and
-Gauss-Jordan inversion over Z_2^32.  `variant_from_json` reads a
-`VariantConfig.to_json` document back.
+Gauss-Jordan inversion over Z_2^32.
 """
 
 from __future__ import annotations
 
-import json
-
-from linsha.primitives import M32, BoolMode, ExpansionKind, SboxMode
+from linsha.primitives import M32
 from linsha.ringalg import WordMatrix, build_E
-from linsha.variants import VariantConfig
 
 WORD_MOD = 1 << 32
 
@@ -86,9 +82,3 @@ def invert(m: WordMatrix) -> WordMatrix:
                 a[r] = [(x - f * y) & M32 for x, y in zip(a[r], a[col])]
                 inv[r] = [(x - f * y) & M32 for x, y in zip(inv[r], inv[col])]
     return WordMatrix(tuple(tuple(row) for row in inv))
-
-
-def variant_from_json(doc: str) -> VariantConfig:
-    raw = json.loads(doc)
-    types = (SboxMode, BoolMode, ExpansionKind, int, bool)
-    return VariantConfig(**{name: t(raw[name]) for name, t in zip(VariantConfig.__slots__, types)})

@@ -57,10 +57,17 @@ def test_verify_word_invalid_exits_one(capsys, tmp_path):
 
 
 def test_collide_default_kernel_succeeds(capsys):
-    code, report, _ = run(capsys, "collide", "--multiple", "3", "--count", "5", "--seed", "7")
+    # the collide benchmark workload, with its fingerprint
+    import hashlib
+
+    code, report, _ = run(capsys, "collide", "--multiple", "1", "--count", "10", "--seed", "7")
     assert code == 0
-    assert report["result"]["succeeded"] == 5
-    assert report["result"]["sample"]["variant"] == "add_linear"
+    assert report["result"]["succeeded"] == 10
+    sample = report["result"]["sample"]
+    assert list(sample) == ["message", "message_prime", "digest", "variant"]
+    assert sample["variant"] == "add_linear"
+    assert hashlib.sha256("".join(sample["digest"]).encode()).hexdigest()[:16] == (
+        "4f9711bb8aac707a")
 
 
 @pytest.mark.parametrize("multiple", ["2", "0"])
@@ -97,6 +104,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("local-collision-mc", "--trials", "64", "--seed", "-1"),
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"),
     ("fig2", "--min-steps", "45", "--max-steps", "40"),
+    ("collide", "--strict"),
 ], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
@@ -104,7 +112,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
         "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
         "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
-        "fig2-range-empty"])
+        "fig2-range-empty", "collide-strict"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
@@ -118,6 +126,7 @@ NAMED_IN_ERROR = {
     ("local-collision-mc", "--trials", "64", "--seed", "-1"): "seed must be non-negative, got -1",
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"): "--bootstrap",
     ("fig2", "--min-steps", "45", "--max-steps", "40"): "sweep range is empty",
+    ("collide", "--strict"): "unrecognized arguments: --strict",
     ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
@@ -257,11 +266,14 @@ def test_vectors_standard_matches_reference(capsys):
 
 
 def test_variant_run_payload(capsys):
-    code, report, _ = run(capsys, "variant-run", "--variant", "add_linear",
-                          "--message", "xyz")
+    code, report, _ = run(capsys, "variant-run", "--variant", "no_sbox", "--steps", "48")
     assert code == 0
-    assert len(report["result"]["digest"]) == 64
-    assert report["result"]["variant"]["sbox_mode"] == "identity"
+    variant = report["result"]["variant"]
+    assert list(variant.items()) == [
+        ("sbox_mode", "identity"), ("bool_mode", "standard"),
+        ("expansion_kind", "sha256-add-id-sigma"), ("steps", 48), ("feed_forward", True)]
+    assert report["result"]["digest"] == (
+        "fe37498667339ebbec9adecb9c2914699f137177087286f208c8113558ab25b2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,6 @@ import pytest
 from linsha.disturbance import (
     CORRECTION_COEFFS,
     CollisionError,
-    DisturbanceVector,
     build_characteristic,
     delay,
     expansion_mismatches,
@@ -142,15 +141,9 @@ class TestPropagate:
         assert tuple((b - a) & M32 for a, b in zip(out, out2)) == rows[16]
 
 
-class TestDisturbanceVector:
-    def test_from_message_difference_is_valid(self):
-        dv = DisturbanceVector.from_message_difference(list(KERNEL_GENERATOR))
-        assert len(dv.words) == 64
-        assert expansion_mismatches(dv.words) == []
-
-    def test_invalid_expansion_rejected(self):
-        with pytest.raises(ValueError):
-            DisturbanceVector(tuple([1] * 64))
+def test_kernel_image_is_a_valid_expansion():
+    assert expansion_mismatches(build_E().vec(KERNEL_GENERATOR)) == []
+    assert expansion_mismatches([1] * 64)
 
 
 class TestCollisions:
@@ -202,9 +195,9 @@ class TestCollisions:
         assert exc_info.value.mismatch_steps
         assert any(x for x in exc_info.value.digest_delta)
 
-    def test_multiple_out_of_range(self):
+    def test_multiple_out_of_range(self, rng):
         with pytest.raises(ValueError):
-            find_collision_add_linear(None, 16)
+            find_collision_add_linear(random_block(rng), 16)
 
     def test_strict_kernel_is_the_default(self, rng):
         m = random_block(rng)
@@ -214,11 +207,3 @@ class TestCollisions:
     def test_multiple_scaling_the_difference_to_zero_is_rejected(self, rng, multiple, strict):
         with pytest.raises(ValueError, match="to zero"):
             find_collision_add_linear(random_block(rng), multiple, strict=strict)
-
-    def test_collision_report_serialises(self, rng):
-        import json
-
-        res = find_collision_add_linear(random_block(rng), 3, strict=True)
-        payload = json.loads(res.to_json())
-        assert payload["variant"] == "add_linear"
-        assert len(payload["message"]) == 16

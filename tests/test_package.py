@@ -53,10 +53,8 @@ def test_layer_modules_resolve_and_unknown_names_raise():
 INSTANCES = {
     "VariantConfig": lambda: linsha.make_variant("standard"),
     "WordMatrix": lambda: linsha.build_E(),
-    "DisturbanceVector": lambda: linsha.disturbance.DisturbanceVector.from_message_difference(
-        linsha.solve_disturbance_kernel()[0]),
     "Characteristic": lambda: linsha.build_characteristic([1] + [0] * 15),
-    "CollisionResult": lambda: linsha.find_collision_add_linear(None, 1),
+    "CollisionResult": lambda: linsha.find_collision_add_linear([0] * 16, 1),
     "BooleanDiffEntry": lambda: linsha.boolean_diff_table()[0],
     "ActivityRow": lambda: linsha.derive_activity([0] * 16)[0],
     "McResult": lambda: linsha.monte_carlo_local_collision(20, 64),
