@@ -141,9 +141,15 @@ class TestPropagate:
         assert tuple((b - a) & M32 for a, b in zip(out, out2)) == rows[16]
 
 
-def test_kernel_image_is_a_valid_expansion():
-    assert expansion_mismatches(build_E().vec(KERNEL_GENERATOR)) == []
-    assert expansion_mismatches([1] * 64)
+class TestDisturbanceVector:
+    # a disturbance vector is the E-image of a 16-word message difference
+    def test_from_message_difference_is_valid(self):
+        words = build_E().vec(KERNEL_GENERATOR)
+        assert len(words) == 64
+        assert expansion_mismatches(words) == []
+
+    def test_invalid_expansion_rejected(self):
+        assert expansion_mismatches([1] * 64)
 
 
 class TestCollisions:
@@ -207,3 +213,18 @@ class TestCollisions:
     def test_multiple_scaling_the_difference_to_zero_is_rejected(self, rng, multiple, strict):
         with pytest.raises(ValueError, match="to zero"):
             find_collision_add_linear(random_block(rng), multiple, strict=strict)
+
+    def test_collision_report_serialises(self, capsys):
+        import json
+        import random
+
+        from linsha.cli import main
+
+        assert main(["collide", "--multiple", "3", "--count", "1", "--seed", "7"]) == 0
+        payload = json.loads(capsys.readouterr().out)["result"]["sample"]
+        res = find_collision_add_linear(random_block(random.Random(7)), 3)
+        assert payload["variant"] == "add_linear"
+        assert len(payload["message"]) == 16
+        assert [int(w, 16) for w in payload["message"]] == list(res.message)
+        assert [int(w, 16) for w in payload["message_prime"]] == list(res.message_prime)
+        assert [int(w, 16) for w in payload["digest"]] == list(res.digest)

@@ -50,6 +50,20 @@ def test_steps_bounds():
         make_variant("standard").replace(steps=-1)
 
 
+def test_json_roundtrip(capsys):
+    # the variant-run report's "variant" object reads back to the config that ran
+    import json
+
+    from linsha.cli import main
+
+    types = (SboxMode, BoolMode, ExpansionKind, int, bool)
+    for name in ("standard", "add_linear", "no_sbox", "xor_expansion"):
+        assert main(["variant-run", "--variant", name, "--steps", "48"]) == 0
+        raw = json.loads(capsys.readouterr().out)["result"]["variant"]
+        cfg = VariantConfig(**{f: t(raw[f]) for f, t in zip(VariantConfig.__slots__, types)})
+        assert cfg == make_variant(name).replace(steps=48)
+
+
 def test_config_is_hashable_and_frozen():
     cfg = make_variant("standard")
     hash(cfg)
