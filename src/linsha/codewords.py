@@ -120,12 +120,13 @@ def extend_codeword(
 class SearchParams(Frozen):
     """A search's algorithm ("canteaut-chabaud", "stern" or "leon"), its
     iteration or time budget, the Stern collision window in bits, its seed
-    and its bootstrap lengths."""
+    and its bootstrap lengths.  The window defaults to 12 bits; Leon weighs
+    rows only, so its window is None and giving it one is an error."""
 
     __slots__ = ("algorithm", "iterations", "budget_secs", "window", "seed", "bootstrap_lengths")
 
     def __init__(self, algorithm: str = "canteaut-chabaud", iterations: int | None = None,
-                 budget_secs: float | None = None, window: int = 12, seed: int = 0,
+                 budget_secs: float | None = None, window: int | None = None, seed: int = 0,
                  bootstrap_lengths: tuple[int, ...] = ()) -> None:
         if algorithm not in ("canteaut-chabaud", "stern", "leon"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -136,7 +137,12 @@ class SearchParams(Frozen):
         if budget_secs is not None and not 0 < budget_secs < math.inf:
             # a NaN budget never expires and an infinite one cannot be reported
             raise ValueError(f"time budget must be a positive finite number, got {budget_secs}")
-        if window < 0:
+        if algorithm == "leon":
+            if window is not None:
+                raise ValueError("leon weighs rows only and takes no Stern window")
+        elif window is None:
+            window = 12
+        elif window < 0:
             raise ValueError("Stern window must be non-negative")
         self._bind(algorithm, iterations, budget_secs, window, seed, bootstrap_lengths)
 

@@ -17,9 +17,10 @@ from .primitives import (
     M32,
     RegisterState,
     SboxMode,
+    _functions,
+    _update,
     as_block,
     compress,
-    step,
 )
 from .ringalg import build_E, element_order, solve_disturbance_kernel
 from .variants import VariantConfig, make_variant
@@ -50,15 +51,16 @@ def propagate(config: VariantConfig, delta_w: Sequence[int]) -> tuple[tuple[int,
 
     Row s is the 8-tuple of register differences before step s; there are
     len(delta_w) + 1 rows.  Differences propagate independently of the actual
-    state because the whole step map is affine, so stepping the zero state
+    state because the whole step map is affine, so updating the zero state
     with the word differences and a zero constant computes them exactly.
     """
     if config.sbox_mode is not SboxMode.IDENTITY or config.bool_mode is not BoolMode.MODULAR_ADD:
         raise ValueError("exact difference propagation needs the fully linear configuration")
-    rows = [RegisterState(*[0] * 8)]
+    functions = _functions(config)
+    rows = [(0,) * 8]
     for dw in delta_w:
-        rows.append(step(rows[-1], dw, 0, config))
-    return tuple(rows)
+        rows.append(_update(rows[-1], dw, 0, functions))
+    return tuple(RegisterState(*row) for row in rows)
 
 
 def build_characteristic(

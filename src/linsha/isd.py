@@ -187,7 +187,6 @@ def chain_search(
     red = _systematic(g.words, perm, k, n, rng)
     best_w, best_words, found_at = incumbent, None, None
     fresh_each = params.algorithm in ("stern", "leon")
-    window = params.window if params.algorithm != "leon" else None
     # each batched set is kept with its perm, to build a word from it later
     size = max(1, BATCH_BYTES // red.nbytes)
     sets = np.empty((len(red), size, k), dtype=red.dtype)
@@ -196,7 +195,7 @@ def chain_search(
 
     def weigh_batch() -> None:
         nonlocal best_w, best_words, found_at
-        for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], window)):
+        for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], params.window)):
             if best_w is None or w < best_w:
                 best_w, found_at = w, its[slot]
                 best_words = _word(sets[:, slot], perms[slot], rows, n)

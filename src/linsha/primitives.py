@@ -2,10 +2,13 @@
 the per-step state update, message expansion in five flavours, and the
 compression function parameterised by a variant configuration.
 
-`step` masks only the two words it outputs: on Python ints that keeps its
-results exact, and on numpy `uint32` arrays every operation already wraps
-modulo 2^32, so one state update serves single states, batches and exact
-difference propagation alike.  `expand` runs on both the same way."""
+The one state update, `_update`, runs on a plain 8-tuple with the variant's
+(Σ0, Σ1, Maj, Ch) from `_functions`, which `compress` and difference
+propagation resolve once per call; `step` wraps it for every other caller.
+It masks only the two words it outputs: exact on Python ints, and on numpy
+`uint32` arrays every operation already wraps modulo 2^32, so it serves
+single states, batches and exact difference propagation alike.  `expand`
+runs on both the same way."""
 
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ def maj(x: int, y: int, z: int) -> int:
 
 
 def ch(x: int, y: int, z: int) -> int:
-    return (x & y) | (~x & z)
+    return z ^ (x & (y ^ z))
 
 
 def add3(x: int, y: int, z: int) -> int:
@@ -144,23 +147,28 @@ def pad_single_block(data: bytes) -> tuple[int, ...]:
     return tuple(int.from_bytes(padded[4 * i : 4 * i + 4], "big") for i in range(16))
 
 
+def _functions(config: "VariantConfig") -> tuple:
+    """The variant's (Σ0, Σ1, Maj, Ch)."""
+    standard_sboxes = config.sbox_mode is SboxMode.STANDARD
+    sigmas = (big_sigma0, big_sigma1) if standard_sboxes else (identity32, identity32)
+    return sigmas + ((maj, ch) if config.bool_mode is BoolMode.STANDARD else (add3, add3))
+
+
+def _update(state: tuple, w: int, k: int, functions: tuple) -> tuple:
+    """The state update on a plain 8-tuple, with functions from _functions."""
+    bs0, bs1, f_maj, f_ch = functions
+    a, b, c, d, e, f, g, h = state
+    t1 = h + bs1(e) + f_ch(e, f, g) + k + w
+    t2 = bs0(a) + f_maj(a, b, c)
+    return ((t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g)
+
+
 def step(state: RegisterState, w: int, k: int, config: "VariantConfig") -> RegisterState:
     """One state update; Σ0/Σ1 and Maj/Ch are swapped out per the config.
 
     Registers and w are 32-bit words, or numpy uint32 arrays of one shape.
     """
-    if config.sbox_mode is SboxMode.STANDARD:
-        bs0, bs1 = big_sigma0, big_sigma1
-    else:
-        bs0 = bs1 = identity32
-    if config.bool_mode is BoolMode.STANDARD:
-        f_maj, f_ch = maj, ch
-    else:
-        f_maj = f_ch = add3
-    a, b, c, d, e, f, g, h = state
-    t1 = h + bs1(e) + f_ch(e, f, g) + k + w
-    t2 = bs0(a) + f_maj(a, b, c)
-    return RegisterState((t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g)
+    return RegisterState(*_update(state, w, k, _functions(config)))
 
 
 def expand(m: Sequence[int], kind: ExpansionKind, n: int) -> list[int]:
@@ -202,10 +210,12 @@ def compress(iv: RegisterState, m: Sequence[int], config: "VariantConfig") -> Re
     n = config.steps
     words = expand(m, config.expansion_kind, max(16, n))
     zero = words[0] & 0
-    state = RegisterState(*(x + zero for x in iv))
+    state = tuple(x + zero for x in iv)
+    functions = _functions(config)
     for i in range(n):
         # constants cancel in every difference computation; kept verbatim anyway
-        state = step(state, words[i], K[i % 64], config)
+        state = _update(state, words[i], K[i % 64], functions)
+    state = RegisterState(*state)
     return state.add(iv) if config.feed_forward else state
 
 

@@ -58,13 +58,17 @@ def build_E() -> WordMatrix:
 def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[tuple[int, ...]]:
     """Generators of {x : S.x = 0 mod 2^exponent} by a Smith-form elimination.
 
-    Each stage takes the entry of least 2-adic valuation in the trailing block
-    as pivot, clears its column with row operations P (which keep the kernel)
-    and its row with column operations, recorded in C.  The diagonal D = P.S.C
-    that remains has kernel generators 2^(exponent - v_j).e_j for each
-    diagonal entry of valuation v_j > 0, and e_j where the diagonal is zero or
-    j is past the last row; C maps them onto the kernel of S.  Raises
-    ValueError on an empty or ragged system or an exponent below 1.
+    Each stage takes as pivot the entry of the trailing block with the least
+    (2-adic valuation, row, column).  An odd entry has valuation 0, the least
+    possible, so the first odd entry in row-major order is that minimum: the
+    search stops there and scans the whole block only when no entry is odd,
+    which picks the same pivot as a full scan.  The stage clears the pivot's
+    column with row operations P (which keep the kernel) and its row with
+    column operations, recorded in C.  The diagonal D = P.S.C that remains
+    has kernel generators 2^(exponent - v_j).e_j for each diagonal entry of
+    valuation v_j > 0, and e_j where the diagonal is zero or j is past the
+    last row; C maps them onto the kernel of S.  Raises ValueError on an
+    empty or ragged system or an exponent below 1.
     """
     s = [list(row) for row in system]
     if exponent < 1:
@@ -77,8 +81,11 @@ def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[t
     cols = [[int(i == j) for i in range(n)] for j in range(n)]     # C, column by column
     diag = [0] * n
     for t in range(min(nrows, n)):
-        pivot = min(((x & -x, i, j) for i in range(t, nrows) for j in range(t, n)
-                     if (x := a[i][j])), default=None)
+        pivot = next(((1, i, j) for i in range(t, nrows) for j in range(t, n) if a[i][j] & 1),
+                     None)
+        if pivot is None:
+            pivot = min(((x & -x, i, j) for i in range(t, nrows) for j in range(t, n)
+                         if (x := a[i][j])), default=None)
         if pivot is None:
             break
         low, i, j = pivot

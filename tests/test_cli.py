@@ -263,6 +263,19 @@ def test_vectors_standard_matches_reference(capsys):
     assert code == 0
     assert report["result"]["abc"]["standard"] == hashlib.sha256(b"abc").hexdigest()
     assert report["result"]["empty"]["standard"] == hashlib.sha256(b"").hexdigest()
+    assert {msg: {name: digest for name, digest in row.items() if name != "standard"}
+            for msg, row in report["result"].items()} == {
+        "abc": {
+            "add_linear": "e642593cee77086ecbfd5ffeff02be9fa993dcdd8978df6b84bb4e497baef771",
+            "no_sbox": "f1e83240a5e6897c47035b1a41ac00d9434702d116272e47a22e67d48499277e",
+            "xor_expansion": "d3f8ea4685d45b0baff4e4aeb53a5e242cf5d69e666ef119a7ea8d681e12498e",
+        },
+        "empty": {
+            "add_linear": "b2fce3541d76c8a625225c161c61a6bfdaacbdb5af9b83d32a3c7e49fe4eabe9",
+            "no_sbox": "16822e0042eab6949ea7237a98dd83898ee16a39ca6ad6af2a3e747409c2e79e",
+            "xor_expansion": "bf2594048f2dcd9d59320e2a772e0d8f3928f864855fc58f1e1f5285ca8ae9be",
+        },
+    }
 
 
 def test_variant_run_payload(capsys):

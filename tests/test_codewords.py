@@ -336,6 +336,8 @@ class TestSearch:
             SearchParams(iterations=5, algorithm="gradient-descent")
         with pytest.raises(ValueError, match="window"):
             SearchParams(iterations=5, window=-1)
+        with pytest.raises(ValueError, match="window"):
+            SearchParams(iterations=5, algorithm="leon", window=12)
         for budget in (0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="time budget"):
                 SearchParams(iterations=5, budget_secs=budget)

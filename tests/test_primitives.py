@@ -141,11 +141,15 @@ class TestCompression:
         short = compress(FIPS_IV, block, make_variant("standard").replace(steps=40))
         assert full != short
 
-    @pytest.mark.parametrize("preset", ["add_linear", "no_sbox", "standard", "xor_expansion"])
-    def test_batched_compress_matches_scalar(self, preset):
+    @pytest.mark.parametrize("preset, steps", [
+        pytest.param(preset, steps, id=preset if steps == 64 else f"{preset}-{steps}")
+        for preset in ("add_linear", "no_sbox", "standard", "xor_expansion")
+        for steps in (0, 1, 17, 64)])
+    def test_batched_compress_matches_scalar(self, preset, steps):
         # (16, n) uint32 message arrays run through the same compress as one
-        # block; every column's digest equals the scalar digest of that block
-        cfg = make_variant(preset)
+        # block; every column's digest equals the scalar digest of that block.
+        # Zero steps hands the lifted IV straight to the feed-forward.
+        cfg = make_variant(preset).replace(steps=steps)
         blocks = np.random.default_rng(7).integers(0, 1 << 32, (16, 64), dtype=np.uint32)
         batched = compress(FIPS_IV, blocks, cfg)
         assert all(np.asarray(x).dtype == np.uint32 for x in batched)

@@ -22,6 +22,16 @@ from conftest import KERNEL_GENERATOR, STRICT_GENERATOR
 from reference_impl import block_advance, build_A, identity_matrix, invert, matrix_pow, mul
 
 
+# kernel_mod_2e's raw output on each condition system, before
+# canonicalisation, as recorded while its pivot search scanned the whole block
+SMITH_GENERATORS = {
+    False: [(0xB0000000, 0xE0000000, 0x40000000, 0xE0000000, 0xA0000000, 0x60000000,
+             0xC0000000, 0xC0000000, 0x80000000, 0xF0000000, 0xB0000000, 0x20000000,
+             0x70000000, 0xC0000000, 0xD0000000, 0x10000000)],
+    True: [STRICT_GENERATOR],
+}
+
+
 def expansion(m, n=64):
     return expand(m, ExpansionKind.SHA256_ADD_ID_SIGMA, n)
 
@@ -180,6 +190,7 @@ class TestKernel:
         assert d == det
         v2 = (det & -det).bit_length() - 1
         assert len(enumerate_module(solve_disturbance_kernel(strict))) == 2 ** v2 == order
+        assert kernel_mod_2e(condition_system(strict).rows) == SMITH_GENERATORS[strict]
 
     def test_backward_words_distinguish_kernels(self):
         # the last eight backward-extension words decide collision-production:
