@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+from . import forks
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
 from .disturbance import build_characteristic, single_disturbance_table
 from .ringalg import build_E
@@ -308,57 +308,6 @@ def _mc_streams(i: int, corrections: np.ndarray, seed: int,
     return successes
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has
-    one (taskset, cgroup cpusets), else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forked_counts(work: Callable[[object], int], blocks: Sequence[object]) -> list[int]:
-    """work(block) for each block, in order.  The caller runs the last block
-    itself; each other block runs in an os.fork child, which writes its count,
-    or its error text, to a pipe and always leaves through os._exit.  Every
-    child is reaped, also when the caller's own block raises; then a child
-    that failed or died without a count raises RuntimeError.
-
-    fork, not spawn: a fresh interpreter would import numpy again.
-    """
-    children = []
-    try:
-        for block in blocks[:-1]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 2              # exit code when no report could be written
-                try:
-                    try:
-                        text, done = str(work(block)), 0
-                    except BaseException as exc:    # reported to the caller, which raises
-                        text, done = f"{type(exc).__name__}: {exc}", 1
-                    os.write(write_end, text.encode()[:4096])   # ≤ PIPE_BUF: sent whole
-                    status = done
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
-        own = work(blocks[-1])
-    finally:
-        reports = []
-        for pid, read_end in children:
-            # replace: the error text may be cut inside a character
-            with open(read_end, errors="replace") as pipe:
-                text = pipe.read()
-            reports.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
-    for pid, code, text in reports:
-        if code == 1:
-            raise RuntimeError(f"Monte Carlo child {pid} failed: {text}")
-        if code != 0:
-            raise RuntimeError(f"Monte Carlo child {pid} died without a result (exit code {code})")
-    return [int(text) for _, _, text in reports] + [own]
-
-
 def monte_carlo_local_collision(
     i: int,
     trials: int,
@@ -373,7 +322,7 @@ def monte_carlo_local_collision(
     whose register difference is fully cancelled after step i+9.  Workers own
     generators seeded from (seed, worker index); their counts merge by
     summation, so results are deterministic for a fixed (seed, workers).  The
-    streams are split into up to _usable_cpus() contiguous blocks: the caller
+    streams are split into up to forks.usable_cpus() contiguous blocks: the caller
     runs the last block and a forked child each other one; with one block
     nothing is forked.
     """
@@ -399,10 +348,10 @@ def monte_carlo_local_collision(
     base, extra = divmod(trials, workers)
     # streams without trials draw nothing and contribute nothing
     streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
-    procs = min(len(streams), _usable_cpus())
+    procs = min(len(streams), forks.usable_cpus())
     blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
               for p in range(procs)]
-    successes = sum(_forked_counts(lambda block: _mc_streams(i, schedule, seed, block), blocks))
+    successes = sum(forks.forked(lambda block: _mc_streams(i, schedule, seed, block), blocks))
     return McResult(successes, trials, seed, workers)
 
 

@@ -2,10 +2,13 @@
 
 The numpy half of codewords.low_weight_search: one chain of Canteaut-Chabaud,
 Stern or Leon iterations over the generator's columns packed into uint64
-words.  Each iteration pays for its own column swap (or, for Stern and Leon,
-its own elimination); the information sets it leaves are copied into a batch
-and weighed a batch at a time.  It lives apart from codewords so that only
-the commands that search load numpy.
+words.  Each systematic form is built from the generator's message basis by
+the chain's own single-column swap.  Each iteration pays for its own column
+swap (or, for Stern and Leon, its own systematic form); the information sets
+it leaves are copied into a batch and weighed a batch at a time.  A
+Canteaut-Chabaud chain is replayed in forked processes that weigh its
+batches in turn (see chain_search).  It lives apart from codewords so that
+only the commands that search load numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from random import Random
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from . import forks
 
 if TYPE_CHECKING:
     from .codewords import GeneratorMatrix, SearchParams
@@ -30,6 +35,7 @@ if TYPE_CHECKING:
 BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
 PAIR_CHUNK = 1 << 13        # row pairs weighed at once, plus at most 511
 ROW_BITS = 9                # bits of a row index: the generator has 512 rows
+MAX_REPLAYS = 4             # processes one chain is replayed in, at most (see chain_search)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -45,7 +51,7 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed.view(np.uint8), bitorder="little")[:n]
 
 
-def _permuted(packed: np.ndarray, perm: np.ndarray) -> np.ndarray:
+def _permuted(packed: np.ndarray, perm: list[int]) -> np.ndarray:
     """Word-major array whose bit p of row r is bit perm[p] of row r of
     `packed` (row-major uint64 rows, or the generator's uint32 ones)."""
     out = np.empty((-(-len(perm) // 64), len(packed)), dtype="<u8")
@@ -55,38 +61,65 @@ def _permuted(packed: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _systematic(
-    gen: np.ndarray, perm: np.ndarray, k: int, n: int, rng: Random
-) -> np.ndarray:
-    """Redundancy part of the generator in systematic form on positions 0..k-1.
+def _swap(red: np.ndarray, has: np.ndarray, j: int, wq: int, sq: int) -> None:
+    """The chain's single-column swap, in place: redundancy column q (bit sq
+    of word wq, whose 0/1 bits are `has`) trades places with the information
+    column of row j, where row j has bit q set.  That column is e_j, so
+    swapping and re-eliminating comes down to XORing row j, without its own
+    bit q, into the other rows that have bit q set."""
+    hit = -has
+    hit[j] = 0
+    row = red[:, j].copy()
+    row[wq] ^= 1 << sq
+    red ^= row[:, None] & hit
 
-    Reduced Gaussian elimination of the columns taken in the order of perm
-    (position -> original column); a pivotless column i is swapped with the
-    random redundancy column rng.randrange(k, n) until one has a pivot, and
-    perm records every swap.  Positions 0..k-1 then hold the identity, so
-    only the word-major words of columns k.. are returned (k is a multiple
-    of 64).
+
+def _systematic(gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random) -> np.ndarray:
+    """Redundancy part of the generator in systematic form on the columns
+    perm[0..k-1], in that order (perm maps position -> original column).
+
+    The generator is already systematic on the message bits, columns 0..k-1,
+    so the form starts there.  Positions are taken in order, and each one's
+    column joins the information set unless it lies in the span of the
+    columns placed before it.  A message bit still in the set is placed as
+    it is; any other column joins by the chain's single-column swap, on the
+    first row with its bit among the rows that no placed column owns,
+    preferring a row whose column lies outside perm[0..k-1], which never has
+    to come back.  A column in the span (it has no pivot) is swapped with
+    the random position rng.randrange(k, n) until one has, and perm records
+    every swap.  The systematic form of an ordered information set is unique,
+    so one bit permutation at the end puts its rows in the order of
+    perm[0..k-1] and its redundancy columns in the order of perm[k..]; only
+    their word-major words are returned (k is a multiple of 64).
     """
-    arr = _permuted(gen, perm)
+    # the rows' words after the message, as uint64 words: redundancy position q
+    # holds column k + q until a swap moves it
+    words = np.zeros((k, 2 * -(-(gen.shape[1] - k // 32) // 2)), dtype="<u4")
+    words[:, : gen.shape[1] - k // 32] = gen[:, k // 32:]
+    red = words.view("<u8").T.copy()
+    at = list(range(n))         # column -> its row if below k, else k + its position
+    owner = list(range(k))      # row -> its information column
+    # 2 on the rows whose column lies outside perm[0..k-1], 1 on those whose
+    # column comes later in it, 0 on the rows of the placed columns
+    free = np.full(k, 2, dtype=red.dtype)
+    free[[c for c in perm[:k] if c < k]] = 1
+    rows = []
     for i in range(k):
-        wi, si = i >> 6, i & 63
-        while True:
-            col = (arr[wi] >> si) & 1
-            piv = i + int(col[i:].argmax())
-            if col[piv]:
+        while (r := at[perm[i]]) >= k:
+            q = r - k
+            wq, sq = q >> 6, q & 63
+            has = (red[wq] >> sq) & 1
+            pick = has * free
+            r = int(pick.argmax())
+            if pick.item(r):
+                at[owner[r]], at[perm[i]], owner[r] = k + q, r, perm[i]
+                _swap(red, has, r, wq, sq)
                 break
             swap = rng.randrange(k, n)
             perm[i], perm[swap] = perm[swap], perm[i]
-            differ = col ^ ((arr[swap >> 6] >> (swap & 63)) & 1)
-            arr[wi] ^= differ << si
-            arr[swap >> 6] ^= differ << (swap & 63)
-        if piv != i:
-            arr[:, [i, piv]] = arr[:, [piv, i]]
-            col[i], col[piv] = col[piv], col[i]
-        col[i] = 0
-        # row i is zero on the columns before i, so its earlier words stay
-        arr[wi:] ^= arr[wi:, i, None] & -col
-    return arr[k // 64:].copy()
+        free[r] = 0
+        rows.append(r)
+    return _permuted(red.T[rows], [at[c] - k for c in perm[k:]])
 
 
 def _weigh(sets: np.ndarray, window: int | None) -> list[tuple[int, tuple[int, ...]]]:
@@ -160,6 +193,14 @@ def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> t
     return tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
 
 
+def _fresh(g: GeneratorMatrix, order: list[int], rng: Random) -> tuple[np.ndarray, np.ndarray]:
+    """A new information set: order shuffled, then its systematic form, as
+    (red, perm); perm is uint16, so that batched copies of it stay small."""
+    rng.shuffle(order)
+    red = _systematic(g.words, order, 512, g.n_bits, rng)
+    return red, np.array(order, dtype=np.min_scalar_type(g.n_bits))
+
+
 def chain_search(
     g: GeneratorMatrix,
     params: SearchParams,
@@ -179,61 +220,85 @@ def chain_search(
     An iteration whose swap draws all miss weighs nothing but still counts.
     The deadline is checked from the second iteration on, so a chain whose
     setup outlasts its time slice still weighs one information set.
+
+    A canteaut-chabaud chain is split over up to forks.usable_cpus()
+    processes, P in all.  The systematic form is built once; then each
+    process replays the same seeded chain of swaps, which is cheap and
+    deterministic, but copies and weighs only the batches whose index is its
+    own modulo P.  Each keeps (iteration, weight, word) for every set
+    strictly lighter than its own running best, and the records are merged
+    in iteration order by the chain's own rule.  That is exact: a set that
+    beats the chain's running best also beats its own process's.  Under a
+    deadline each process stops on its own; the chain reports the fewest
+    iterations any process ran, which some process weighed every one of,
+    and drops the records at or past it.  Stern and Leon build a fresh
+    systematic form each iteration, which a replay would repeat, so they run
+    in one process, as does any chain on one usable CPU.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
-    perm = np.arange(n, dtype=np.min_scalar_type(n))   # uint16: small batched copies
-    rng.shuffle(perm)
-    red = _systematic(g.words, perm, k, n, rng)
-    best_w, best_words, found_at = incumbent, None, None
+    red, perm = _fresh(g, list(range(n)), rng)
     fresh_each = params.algorithm in ("stern", "leon")
-    # each batched set is kept with its perm, to build a word from it later
     size = max(1, BATCH_BYTES // red.nbytes)
-    sets = np.empty((len(red), size, k), dtype=red.dtype)
-    perms = np.empty((size, n), dtype=perm.dtype)
-    its: list[int] = []
+    # Every process replays all of the swaps, about 40% of a one-process run
+    # at 40 steps (24 of 61 ms on a 2-vCPU VM), so P processes take at least
+    # 0.4 + 0.6 / P of its time: a fifth would save 3% of it, less than a
+    # forked child's start-up.  Nor is a process forked without a batch.
+    parts = 1 if fresh_each else min(forks.usable_cpus(), MAX_REPLAYS, -(-iterations // size))
 
-    def weigh_batch() -> None:
-        nonlocal best_w, best_words, found_at
-        for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], params.window)):
-            if best_w is None or w < best_w:
-                best_w, found_at = w, its[slot]
-                best_words = _word(sets[:, slot], perms[slot], rows, n)
-        its.clear()
+    def replay(part: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
+        """(iterations done, records) of the process that weighs `part`."""
+        nonlocal red, perm
+        best_w, records = incumbent, []
+        # each batched set is kept with its perm, to build a word from it later
+        sets = np.empty((len(red), size, k), dtype=red.dtype)
+        perms = np.empty((size, n), dtype=perm.dtype)
+        its: list[int] = []
 
-    done = 0
-    for it in range(iterations):
-        if deadline is not None and it and time.monotonic() > deadline:
-            break
-        done = it + 1
-        if fresh_each and it > 0:
-            rng.shuffle(perm)
-            red = _systematic(g.words, perm, k, n, rng)
-        elif not fresh_each:
-            # single-column swap keeps the chain cheap: exchange a redundancy
-            # column q with information column j where row j has bit q set.
-            # Column j is e_j, so swapping and re-eliminating comes down to
-            # XORing row j, without its own bit q, into the other rows that
-            # have bit q set.
-            for _ in range(200):
-                q = rng.randrange(k, n)
-                j = rng.randrange(k)
-                wq, sq = (q - k) >> 6, (q - k) & 63
-                if (red[wq, j] >> sq) & 1:
-                    break
-            else:
-                continue
-            perm[j], perm[q] = perm[q], perm[j]
-            hit = -((red[wq] >> sq) & 1)
-            hit[j] = 0
-            row = red[:, j].copy()
-            row[wq] ^= 1 << sq
-            red ^= row[:, None] & hit
-        sets[:, len(its)] = red
-        perms[len(its)] = perm
-        its.append(it)
-        if len(its) == size:
+        def weigh_batch() -> None:
+            nonlocal best_w
+            for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], params.window)):
+                if best_w is None or w < best_w:
+                    best_w = w
+                    records.append((its[slot], w, _word(sets[:, slot], perms[slot], rows, n)))
+            its.clear()
+
+        done = batched = 0
+        for it in range(iterations):
+            if deadline is not None and it and time.monotonic() > deadline:
+                break
+            done = it + 1
+            if fresh_each and it > 0:
+                red, perm = _fresh(g, perm.tolist(), rng)
+            elif not fresh_each:
+                # the single-column swap keeps the chain cheap: a redundancy
+                # column q and an information column j where row j has bit q
+                for _ in range(200):
+                    q = rng.randrange(k, n)
+                    j = rng.randrange(k)
+                    wq, sq = (q - k) >> 6, (q - k) & 63
+                    if red.item(wq, j) >> sq & 1:
+                        break
+                else:
+                    continue
+                perm[j], perm[q] = perm[q], perm[j]
+                _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
+            if batched // size % parts == part:
+                sets[:, len(its)] = red
+                perms[len(its)] = perm
+                its.append(it)
+                if len(its) == size:
+                    weigh_batch()
+            batched += 1
+        if its:
             weigh_batch()
-    if its:
-        weigh_batch()
+        return done, records
+
+    runs = forks.forked(replay, range(parts))
+    done = min(d for d, _ in runs)
+    best_w, best_words, found_at = incumbent, None, None
+    for it, w, words in sorted((r for _, records in runs for r in records if r[0] < done),
+                               key=lambda r: r[0]):
+        if best_w is None or w < best_w:
+            best_w, best_words, found_at = w, tuple(words), it
     return best_w, best_words, found_at, done

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -38,3 +39,25 @@ def table5_words(table5_path) -> list[int]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pid of every child forked while the test runs, as the caller sees it."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

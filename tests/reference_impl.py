@@ -3,11 +3,18 @@
 `linsha.ringalg` reads E and B^-1 off the expansion recurrence, run forwards
 and backwards on unit words.  The routes here are the textbook ones they are
 checked against: the companion matrix A of the recurrence, its powers, and
-Gauss-Jordan inversion over Z_2^32.
+Gauss-Jordan inversion over Z_2^32.  `linsha.isd` builds a systematic form
+from the generator's message basis by single-column swaps; the route here is
+a full reduced elimination over the permuted generator.
 """
 
 from __future__ import annotations
 
+from random import Random
+
+import numpy as np
+
+from linsha.isd import _permuted
 from linsha.primitives import M32
 from linsha.ringalg import WordMatrix, build_E
 
@@ -82,3 +89,37 @@ def invert(m: WordMatrix) -> WordMatrix:
                 a[r] = [(x - f * y) & M32 for x, y in zip(a[r], a[col])]
                 inv[r] = [(x - f * y) & M32 for x, y in zip(inv[r], inv[col])]
     return WordMatrix(tuple(tuple(row) for row in inv))
+
+
+def systematic_by_elimination(
+    gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random
+) -> np.ndarray:
+    """Redundancy part of the generator in systematic form on positions 0..k-1.
+
+    Reduced Gaussian elimination of the columns taken in the order of perm
+    (position -> original column); a pivotless column i is swapped with the
+    random redundancy column rng.randrange(k, n) until one has a pivot, and
+    perm records every swap.  Positions 0..k-1 then hold the identity, so
+    only the word-major words of columns k.. are returned (k is a multiple
+    of 64).
+    """
+    arr = _permuted(gen, perm)
+    for i in range(k):
+        wi, si = i >> 6, i & 63
+        while True:
+            col = (arr[wi] >> si) & 1
+            piv = i + int(col[i:].argmax())
+            if col[piv]:
+                break
+            swap = rng.randrange(k, n)
+            perm[i], perm[swap] = perm[swap], perm[i]
+            differ = col ^ ((arr[swap >> 6] >> (swap & 63)) & 1)
+            arr[wi] ^= differ << si
+            arr[swap >> 6] ^= differ << (swap & 63)
+        if piv != i:
+            arr[:, [i, piv]] = arr[:, [piv, i]]
+            col[i], col[piv] = col[piv], col[i]
+        col[i] = 0
+        # row i is zero on the columns before i, so its earlier words stay
+        arr[wi:] ^= arr[wi:, i, None] & -col
+    return arr[k // 64:].copy()

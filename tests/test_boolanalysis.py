@@ -22,7 +22,7 @@ from linsha.boolanalysis import (
 from linsha.primitives import K, RegisterState, ch, maj, step
 from linsha.ringalg import solve_disturbance_kernel
 from linsha.variants import make_variant
-from conftest import KERNEL_GENERATOR
+from conftest import KERNEL_GENERATOR, assert_reaped
 
 MSB = 0x80000000
 
@@ -233,21 +233,6 @@ class TestMonteCarlo:
         assert mc.successes == self.PINNED[workers]
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """Pid of every child the Monte Carlo forks, as the caller sees it."""
-        pids = []
-        fork = os.fork
-
-        def spy():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", spy)
-        return pids
-
-    @pytest.fixture
     def chunks(self, monkeypatch):
         """Run _mc_chunk as in_caller in this process and as in_child in forked children."""
         caller, chunk = os.getpid(), boolanalysis._mc_chunk
@@ -265,14 +250,8 @@ class TestMonteCarlo:
 
         return chunk
 
-    @staticmethod
-    def assert_reaped(pids):
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
     def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, forks):
-        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
         got = {w: monte_carlo_local_collision(20, 100000, seed=2, workers=w).successes
                for w in self.PINNED}
         assert got == self.PINNED
@@ -288,11 +267,11 @@ class TestMonteCarlo:
             return streams(*args)
 
         monkeypatch.setattr(boolanalysis, "_mc_streams", spy)
-        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
         mc = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
         assert mc.successes == self.PINNED[5]
         assert len(forks) == 1 and callers == [os.getpid()]
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_workers_without_trials_contribute_nothing(self):
         mc = monte_carlo_local_collision(20, 10, seed=2, workers=16, disturbance=0)
@@ -300,27 +279,27 @@ class TestMonteCarlo:
 
     def test_worker_failure_propagates(self, monkeypatch, forks, chunks):
         chunks(in_child=self.raising("worker failed"))
-        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="failed: RuntimeError: worker failed"):
             monte_carlo_local_collision(20, 1000, seed=2, workers=2)
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_worker_death_without_result_raises(self, monkeypatch, forks, chunks):
         chunks(in_child=lambda *args: os._exit(3))
-        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
             monte_carlo_local_collision(20, 1000, seed=2, workers=2)
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_caller_failure_still_reaps_children(self, monkeypatch, forks, chunks):
         chunks(in_caller=self.raising("caller failed"))
-        monkeypatch.setattr(boolanalysis, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match="caller failed"):
             monte_carlo_local_collision(20, 1000, seed=2, workers=3)
         assert len(forks) == 2
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_zero_disturbance_always_collides(self):
         mc = monte_carlo_local_collision(20, 2048, seed=0, disturbance=0)

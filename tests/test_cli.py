@@ -358,8 +358,9 @@ def run_fresh(*argv, numpy=True):
 # what the parser needs, then each strand's layers, and each command's own
 PARSER = ["linsha.cli", "linsha.primitives", "linsha.variants"]
 Z32 = ["linsha.disturbance", "linsha.ringalg"]
-NO_SBOX = ["linsha.boolanalysis", *Z32]
+NO_SBOX = ["linsha.boolanalysis", "linsha.forks", *Z32]
 GF2 = ["linsha.codewords"]
+ISD = ["linsha.forks", "linsha.isd", "numpy"]
 LOADS = [
     (("vectors",), []),
     (("variant-run", "--variant", "no_sbox"), []),
@@ -372,9 +373,9 @@ LOADS = [
     (("census", "--steps", "20"), GF2),
     (("verify-word", "--file", str(TABLE5)), GF2),
     (("extend-word", "--file", str(TABLE5), "--steps", "48"), GF2),
-    (("search", "--steps", "20", "--iterations", "20"), [*GF2, "linsha.isd", "numpy"]),
+    (("search", "--steps", "20", "--iterations", "20"), [*GF2, *ISD]),
     (("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "10"),
-     [*GF2, "linsha.isd", "numpy"]),
+     [*GF2, *ISD]),
 ]
 
 

@@ -1,6 +1,8 @@
 """Expansion code: generator, census, search, verification, extension."""
 
 import hashlib
+import os
+from random import Random
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from linsha.codewords import (
     zero_band_report,
 )
 from linsha.primitives import ExpansionKind, expand, seq_weight
+from conftest import assert_reaped
+from reference_impl import systematic_by_elimination
 
 XOR = ExpansionKind.SHA256_XOR
 SHA1_XOR = ExpansionKind.SHA1_XOR
@@ -411,3 +415,112 @@ class TestSweep:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             fig2_sweep(range(10, 20), SearchParams(iterations=5))
+
+
+class TestSystematic:
+    @pytest.mark.parametrize("kind, steps", [(XOR, 20), (XOR, 40), (XOR, 64),
+                                             (SHA1_XOR, 17), (SHA1_XOR, 30), (SHA1_XOR, 80)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_matches_full_elimination(self, kind, steps):
+        # the message-basis pivots give the reduced form, the perm and the draws
+        # of the elimination they replaced; sha256-xor at 20 steps redraws
+        # hundreds of pivotless columns per seed
+        g = build_generator(kind, steps)
+        for seed in range(8):
+            fast, slow = Random(seed), Random(seed)
+            perm_fast, perm_slow = list(range(g.n_bits)), list(range(g.n_bits))
+            fast.shuffle(perm_fast)
+            slow.shuffle(perm_slow)
+            red = isd._systematic(g.words, perm_fast, 512, g.n_bits, fast)
+            assert np.array_equal(red, systematic_by_elimination(
+                g.words, perm_slow, 512, g.n_bits, slow)), seed
+            assert perm_fast == perm_slow, seed
+            assert fast.random() == slow.random(), seed
+
+
+class TestSplit:
+    """A chain weighed in forked replays finds what one process finds."""
+
+    CASES = [
+        pytest.param(XOR, 40, dict(iterations=1000, seed=0), (316, 702, "01d8b95e2d026def", 1000),
+                     id="n40-seed0"),
+        pytest.param(XOR, 22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)),
+                     (1, None, "6704b4e02bf11d9f", 40), id="n22-bootstrap20"),
+        pytest.param(XOR, 40, dict(iterations=20, seed=0, window=0),
+                     (303, 5, "9221fa2fb9d8a760", 20), id="n40-window0"),
+        pytest.param(XOR, 30, dict(iterations=300, seed=3, window=130),
+                     (9, 240, "d59f8675b821bca7", 300), id="n30-window130"),
+        pytest.param(SHA1_XOR, 17, dict(iterations=30, seed=0),
+                     (1, 0, "cd0dd3ede3ae05b8", 30), id="sha1-n17"),
+    ]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind, steps, params, expected", CASES)
+    def test_same_result_on_any_cpu_count(self, monkeypatch, forks, cpus, kind, steps, params,
+                                          expected):
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
+        res = low_weight_search(build_generator(kind, steps), SearchParams(**params))
+        assert (res.weight, res.found_at_iteration, word_hash(res.words),
+                res.iterations_run) == expected
+        # one process per CPU at most, and no more processes than batches
+        set_bytes = 512 * 8 * -(-(steps - 16) // 2)      # (W, 512) uint64 words
+        batches = -(-params["iterations"] // (isd.BATCH_BYTES // set_bytes))
+        assert len(forks) == min(cpus, batches) - 1
+        assert_reaped(forks)
+
+    def test_stern_runs_in_one_process(self, monkeypatch, forks):
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
+        res = low_weight_search(build_generator(XOR, 40),
+                                SearchParams(algorithm="stern", iterations=3, seed=0))
+        assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
+            334, 0, "56100b00e0cec2d6")
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_deadline_reports_iterations_every_process_ran(self, monkeypatch, forks, cpus):
+        # a clock that ticks once per deadline check in the caller and twice in
+        # a child: at deadline 300 the caller runs 301 iterations and each child
+        # 151, and the chain is the one-process chain of 151 iterations.  With
+        # two processes the caller weighs a lighter set at 223, which is dropped
+        caller = os.getpid()
+        ticks = [0]
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                ticks[0] += 1 if os.getpid() == caller else 2
+                return ticks[0]
+
+        g = build_generator(XOR, 40)
+        params = SearchParams(iterations=1, seed=0)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
+        monkeypatch.setattr(isd, "time", Clock)
+        split = isd.chain_search(g, params, 0, 1 << 62, 300, None)
+        assert split[3] == 151 and len(forks) == cpus - 1
+        assert_reaped(forks)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
+        assert split == isd.chain_search(g, params, 0, 151, None, None)
+
+    def test_caller_failure_still_reaps_children(self, monkeypatch, forks):
+        caller, weigh = os.getpid(), isd._weigh
+
+        def failing(*args):
+            if os.getpid() == caller:
+                raise RuntimeError("caller failed")
+            return weigh(*args)
+
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 3)
+        monkeypatch.setattr(isd, "_weigh", failing)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            low_weight_search(build_generator(XOR, 40), SearchParams(iterations=100, seed=0))
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_child_results_of_any_length(self, forks):
+        # far more than a pipe holds: the child writes it all, the caller reads to the end
+        from linsha.forks import forked
+
+        assert forked(lambda n: list(range(n)), [100_000, 3]) == [list(range(100_000)),
+                                                                   [0, 1, 2]]
+        assert len(forks) == 1
+        assert_reaped(forks)
