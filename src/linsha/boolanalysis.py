@@ -336,8 +336,8 @@ def monte_carlo_local_collision(
         raise ValueError(f"seed must be non-negative, got {seed}")
     if disturbance not in (0, MSB):
         raise ValueError("disturbance must be 0 or the MSB")
-    # numpy is imported by the functions that use it: every CLI command imports
-    # this module, and only local-collision-mc runs the Monte Carlo
+    # numpy is imported by the functions that use it: table2 and table3 also
+    # load this module, and they never run numpy code
     import numpy as np
 
     schedule = np.zeros(9, dtype=np.uint32)
@@ -504,22 +504,16 @@ def satisfy_first16(
         state = run_to(s)
         if _conditions_hold(state, entries):
             continue
-        if s == 0:
-            e = entries[0]
-            raise FirstStepsError(0, e.func, e.input_diff, e.condition or "none")
+        # step 0 has no conditions: nothing is disturbed before it
         before = run_to(s - 1)
-        original = words[s - 1]
-        fixed = False
-        candidates = [(original + (j << 26)) & M32 for j in range(1, 64)]
+        candidates = [(words[s - 1] + (j << 26)) & M32 for j in range(1, 64)]
         candidates += [rng.getrandbits(32) for _ in range(256)]
         for cand in candidates:
             trial = step(before, cand, K[s - 1], config)
             if _conditions_hold(trial, entries):
                 words[s - 1] = cand
-                fixed = True
                 break
-        if not fixed:
-            words[s - 1] = original
+        else:
             raise _unreachable(conditions, s, state)
     return tuple(words)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import string
 import time
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -171,9 +172,10 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     word is valid again; the extended incumbent seeds the main chain and is
     only replaced by strictly lighter finds.  A time budget is split into
     equal slices from the start, one per bootstrap stage and the last for
-    the main search.  Every chain runs at least one iteration, so a budget
-    that expires during setup still yields a word.  Deterministic for fixed
-    (seed, iteration budget).
+    the main search.  An iteration is one swap (one redrawn set for Stern
+    and Leon) and one weighed information set, and every chain runs at least
+    one, so on every code a budget that expires during setup still yields a
+    word.  Deterministic for fixed (seed, iteration budget).
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1
@@ -221,8 +223,6 @@ def _search_from(
                                                   iterations, deadline, best_w)
     if words is not None:
         best_w, best_words, origin = w, words, "search"
-    if best_words is None:
-        raise RuntimeError("no codeword found; budget too small")
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
@@ -244,7 +244,7 @@ def load_codeword_file(path: str) -> list[int]:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if len(line) != 8:
+            if len(line) != 8 or line.strip(string.hexdigits):
                 raise ValueError(f"expected 8 hex digits per line, got {line!r}")
             words.append(int(line, 16))
     return words

@@ -3,9 +3,9 @@
 The numpy half of codewords.low_weight_search: one chain of Canteaut-Chabaud,
 Stern or Leon iterations over the generator's columns packed into uint64
 words.  Each systematic form is built from the generator's message basis by
-the chain's own single-column swap.  Each iteration pays for its own column
-swap (or, for Stern and Leon, its own systematic form); the information sets
-it leaves are copied into a batch and weighed a batch at a time.  A
+the chain's own single-column swap.  An iteration is one column swap (for
+Stern and Leon, one redrawn information set and its systematic form) and one
+weighed set: each set is copied into a batch and weighed a batch at a time.  A
 Canteaut-Chabaud chain is replayed in forked processes that weigh its
 batches in turn (see chain_search).  It lives apart from codewords so that
 only the commands that search load numpy.
@@ -217,9 +217,9 @@ def chain_search(
     iteration's information set is copied into a batch, which is weighed as
     _weigh says when it fills and when the loop ends; the chain keeps the
     first candidate strictly lighter than the best so far, in iteration order.
-    An iteration whose swap draws all miss weighs nothing but still counts.
-    The deadline is checked from the second iteration on, so a chain whose
-    setup outlasts its time slice still weighs one information set.
+    Every iteration makes its swap (Stern and Leon redraw the set) and weighs
+    what it leaves; the deadline is checked from the second iteration on, so
+    a chain whose setup outlasts its time slice still weighs one set.
 
     A canteaut-chabaud chain is split over up to forks.usable_cpus()
     processes, P in all.  The systematic form is built once; then each
@@ -263,7 +263,7 @@ def chain_search(
                     records.append((its[slot], w, _word(sets[:, slot], perms[slot], rows, n)))
             its.clear()
 
-        done = batched = 0
+        done = 0
         for it in range(iterations):
             if deadline is not None and it and time.monotonic() > deadline:
                 break
@@ -271,25 +271,24 @@ def chain_search(
             if fresh_each and it > 0:
                 red, perm = _fresh(g, perm.tolist(), rng)
             elif not fresh_each:
-                # the single-column swap keeps the chain cheap: a redundancy
-                # column q and an information column j where row j has bit q
-                for _ in range(200):
+                # the single-column swap: a redundancy column q and an information
+                # column j where row j has bit q.  The draws end, as some redundancy
+                # column is non-zero: W16's 32 bits are non-zero functions of the
+                # message for both XOR kinds, and 512 + 32 exceeds an information set.
+                while True:
                     q = rng.randrange(k, n)
                     j = rng.randrange(k)
                     wq, sq = (q - k) >> 6, (q - k) & 63
                     if red.item(wq, j) >> sq & 1:
                         break
-                else:
-                    continue
                 perm[j], perm[q] = perm[q], perm[j]
                 _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
-            if batched // size % parts == part:
+            if it // size % parts == part:
                 sets[:, len(its)] = red
                 perms[len(its)] = perm
                 its.append(it)
                 if len(its) == size:
                     weigh_batch()
-            batched += 1
         if its:
             weigh_batch()
         return done, records

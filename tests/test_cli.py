@@ -137,14 +137,20 @@ NAMED_IN_ERROR = {
 @pytest.mark.parametrize("argv", [
     ("search", "--steps", "40", "--budget-secs", "0.001"),
     ("fig2", "--budget-secs", "0.01", "--max-steps", "41"),
-], ids=["search", "fig2"])
+    ("search", "--kind", "sha1-xor", "--steps", "17", "--iterations", "1", "--seed", "3"),
+    ("fig2", "--kind", "sha1-xor", "--min-steps", "17", "--max-steps", "24",
+     "--budget-secs", "0.0001", "--seed", "2"),
+], ids=["search", "fig2", "sha1-search-one-iteration", "sha1-fig2"])
 def test_budget_spent_in_setup_still_reports_a_word(capsys, argv):
-    # the chains' setup outlasts these budgets; each chain still runs once
+    # the chains' setup outlasts these budgets; each chain still runs once,
+    # and on the sparse SHA-1 code its one iteration makes its swap too
     code, report, _ = run(capsys, *argv)
     assert code == 0
     weights = ([report["result"]["weight"]] if argv[0] == "search"
                else [r["weight"] for r in report["result"]["rows"]])
     assert all(w > 0 for w in weights)
+    if "--iterations" in argv:
+        assert report["result"]["iterations_run"] == 1
 
 
 def test_elapsed_is_reported_to_the_microsecond(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 from random import Random
 
 import numpy as np
@@ -165,10 +166,13 @@ class TestWordFiles:
         assert load_codeword_file(str(path)) == list(table5_words)
 
     def test_malformed_line_rejected(self, tmp_path):
+        # int(line, 16) alone takes the 0x, _ and + lines, and the - line
+        # fails later without naming its line
         path = tmp_path / "bad.hex"
-        path.write_text("0001\n")
-        with pytest.raises(ValueError):
-            load_codeword_file(str(path))
+        for line in ("0001", "0x000001", "00_00001", "+0000001", "-0000001"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"8 hex digits per line, got {line!r}")):
+                load_codeword_file(str(path))
 
     def test_printed_grid_resolution(self, table5_path):
         raw = load_codeword_file(str(table5_path))
@@ -267,13 +271,28 @@ class TestSearch:
 
     @pytest.mark.parametrize("iterations", [4, 7, 11, 13, 18, 30, 31, 34])
     def test_skipped_last_iteration_is_counted(self, iterations):
-        # at these budgets the chain's last iteration draws 200 swaps that
-        # all miss (the sparse SHA-1 code at 17 steps); it still ran
+        # at these budgets on the sparse SHA-1 code at 17 steps, a swap draw
+        # capped at 200 tries left the last iteration without a swap; the
+        # draw now runs until it hits, and the iteration counts as before
         res = low_weight_search(build_generator(SHA1_XOR, 17),
                                 SearchParams(iterations=iterations, seed=0))
         assert res.iterations_run == iterations
         assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
             1, 0, "cd0dd3ede3ae05b8")
+
+    def test_every_iteration_weighs_one_set(self, monkeypatch):
+        # the sparse SHA-1 code at 17 steps, where a swap takes the most draws
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
+        weighed, weigh = [], isd._weigh
+
+        def counting(sets, window):
+            weighed.append(sets.shape[1])
+            return weigh(sets, window)
+
+        monkeypatch.setattr(isd, "_weigh", counting)
+        res = low_weight_search(build_generator(SHA1_XOR, 17),
+                                SearchParams(iterations=1000, seed=0))
+        assert sum(weighed) == res.iterations_run == 1000
 
     def test_sixteen_steps_hits_unit_vector(self):
         g = build_generator(XOR, 16)
