@@ -62,9 +62,13 @@ def _resolve_seed(raw: str) -> int:
         import secrets
         return secrets.randbits(32)
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"--seed must be an integer or 'random', got {raw!r}") from None
+    if seed < 0:
+        # random.Random seeds from |seed|, so -5 would repeat 5's run
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +239,8 @@ def cmd_search(args) -> tuple[Any, str, int]:
     except ValueError:
         raise ValueError(f"--bootstrap must be comma-separated step counts, "
                          f"got {args.bootstrap!r}") from None
-    params = SearchParams(
-        algorithm=args.algorithm, iterations=args.iterations,
-        budget_secs=args.budget_secs, seed=args.seed, bootstrap_lengths=boot,
-    )
+    params = SearchParams(iterations=args.iterations, budget_secs=args.budget_secs,
+                          seed=args.seed, bootstrap_lengths=boot)
     res = low_weight_search(g, params)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -247,8 +249,7 @@ def cmd_search(args) -> tuple[Any, str, int]:
             for w in res.words:
                 fh.write(_hex(w) + "\n")
     result = {"weight": res.weight, "words": _hexlist(res.words),
-              "steps": res.n_steps, "kind": kind.value,
-              "algorithm": res.algorithm, "iterations_run": res.iterations_run,
+              "steps": res.n_steps, "kind": kind.value, "iterations_run": res.iterations_run,
               "found_at_iteration": res.found_at_iteration, "origin": res.origin,
               "out": args.out}
     human = (f"best weight {res.weight} at {args.steps} steps "
@@ -292,8 +293,8 @@ def cmd_extend_word(args) -> tuple[Any, str, int]:
 def cmd_fig2(args) -> tuple[Any, str, int]:
     from .codewords import SearchParams, fig2_sweep, sweep_csv
     kind = ExpansionKind(args.kind)
-    params = SearchParams(algorithm=args.algorithm, iterations=args.iterations,
-                          budget_secs=args.budget_secs, seed=args.seed)
+    params = SearchParams(iterations=args.iterations, budget_secs=args.budget_secs,
+                          seed=args.seed)
     rows = fig2_sweep(range(args.min_steps, args.max_steps + 1), params, kind,
                       search_horizon=args.horizon)
     csv = sweep_csv(rows)
@@ -377,8 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--algorithm", default="canteaut-chabaud",
-                   choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--bootstrap", default="",
                    help="comma-separated shorter lengths to search first")
     p.add_argument("--out", default=None, help="write the word here")
@@ -403,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=60.0,
                    help="per-step-count budget (default 60)")
-    p.add_argument("--algorithm", default="canteaut-chabaud",
-                   choices=("canteaut-chabaud", "stern", "leon"))
     p.add_argument("--out", default=None, help="write CSV here")
 
     return top

@@ -3,8 +3,9 @@
 Replacing the expansion's modular additions by XOR turns the set of expanded
 messages into a [32N, 512] linear code; low-weight codewords correspond to
 sparse expanded differences.  This module builds the generator matrix, takes
-the single-bit weight census, runs probabilistic low-weight searches in the
-information-set decoding family, and verifies/extends/sweeps found words.
+the single-bit weight census, runs a probabilistic low-weight search (one
+Canteaut-Chabaud information-set decoding chain), and verifies/extends/sweeps
+found words.
 """
 
 from __future__ import annotations
@@ -119,18 +120,14 @@ def extend_codeword(
 
 
 class SearchParams(Frozen):
-    """A search's algorithm ("canteaut-chabaud", "stern" or "leon"), its
-    iteration or time budget, the Stern collision window in bits, its seed
-    and its bootstrap lengths.  The window defaults to 12 bits; Leon weighs
-    rows only, so its window is None and giving it one is an error."""
+    """A search's iteration or time budget, the Stern collision window in
+    bits over which the chain pairs rows (12 by default), its seed and its
+    bootstrap lengths."""
 
-    __slots__ = ("algorithm", "iterations", "budget_secs", "window", "seed", "bootstrap_lengths")
+    __slots__ = ("iterations", "budget_secs", "window", "seed", "bootstrap_lengths")
 
-    def __init__(self, algorithm: str = "canteaut-chabaud", iterations: int | None = None,
-                 budget_secs: float | None = None, window: int | None = None, seed: int = 0,
-                 bootstrap_lengths: tuple[int, ...] = ()) -> None:
-        if algorithm not in ("canteaut-chabaud", "stern", "leon"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+    def __init__(self, iterations: int | None = None, budget_secs: float | None = None,
+                 window: int = 12, seed: int = 0, bootstrap_lengths: tuple[int, ...] = ()) -> None:
         if iterations is None and budget_secs is None:
             raise ValueError("give an iteration count or a time budget")
         if iterations is not None and iterations < 1:
@@ -138,14 +135,9 @@ class SearchParams(Frozen):
         if budget_secs is not None and not 0 < budget_secs < math.inf:
             # a NaN budget never expires and an infinite one cannot be reported
             raise ValueError(f"time budget must be a positive finite number, got {budget_secs}")
-        if algorithm == "leon":
-            if window is not None:
-                raise ValueError("leon weighs rows only and takes no Stern window")
-        elif window is None:
-            window = 12
-        elif window < 0:
+        if window < 0:
             raise ValueError("Stern window must be non-negative")
-        self._bind(algorithm, iterations, budget_secs, window, seed, bootstrap_lengths)
+        self._bind(iterations, budget_secs, window, seed, bootstrap_lengths)
 
 
 class SearchResult(NamedTuple):
@@ -153,29 +145,26 @@ class SearchResult(NamedTuple):
     weight: int
     kind: ExpansionKind
     n_steps: int
-    algorithm: str
     seed: int
     iterations_run: int
     found_at_iteration: int | None       # None: no chain iteration found the word
     origin: str                          # "search" or "bootstrap(<n>)"
-    elapsed_secs: float
 
 
 def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     """Probabilistic minimum-weight search over the expansion code.
 
-    Algorithms: "canteaut-chabaud" (default) iterates cheap single-column
-    information-set updates with a Stern collision window over row pairs;
-    "stern" redraws the whole information set each iteration; "leon" is the
-    single-row baseline.  Optional bootstrap stages search a shorter length
-    first and extend the winner, which is sound because truncating a valid
-    word is valid again; the extended incumbent seeds the main chain and is
-    only replaced by strictly lighter finds.  A time budget is split into
-    equal slices from the start, one per bootstrap stage and the last for
-    the main search.  An iteration is one swap (one redrawn set for Stern
-    and Leon) and one weighed information set, and every chain runs at least
-    one, so on every code a budget that expires during setup still yields a
-    word.  Deterministic for fixed (seed, iteration budget).
+    One Canteaut-Chabaud chain of cheap single-column information-set
+    updates, each set weighed by its rows and by the row pairs that agree on
+    the Stern collision window.  Optional bootstrap stages search a shorter
+    length first and extend the winner, which is sound because truncating a
+    valid word is valid again; the extended incumbent seeds the main chain
+    and is only replaced by strictly lighter finds.  A time budget is split
+    into equal slices from the start, one per bootstrap stage and the last
+    for the main search.  An iteration is one swap and one weighed
+    information set, and every chain runs at least one, so on every code a
+    budget that expires during setup still yields a word.  Deterministic for
+    fixed (seed, iteration budget).
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1
@@ -210,8 +199,7 @@ def _search_from(
     if g.n_bits == 512:
         # no redundancy, every vector is a codeword; a unit vector is minimal
         words = tuple([1] + [0] * (g.n_steps - 1))
-        return SearchResult(words, 1, g.kind, g.n_steps, params.algorithm,
-                            params.seed, 0, None, "search", time.monotonic() - t0)
+        return SearchResult(words, 1, g.kind, g.n_steps, params.seed, 0, None, "search")
 
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
@@ -226,10 +214,8 @@ def _search_from(
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
-    return SearchResult(
-        best_words, weight, g.kind, g.n_steps, params.algorithm, params.seed,
-        iters_done, found_at, origin, time.monotonic() - t0,
-    )
+    return SearchResult(best_words, weight, g.kind, g.n_steps, params.seed, iters_done,
+                        found_at, origin)
 
 
 # ---------------------------------------------------------------------------

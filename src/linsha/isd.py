@@ -1,12 +1,11 @@
 """Bit-packed information-set decoding chain for the expansion code.
 
-The numpy half of codewords.low_weight_search: one chain of Canteaut-Chabaud,
-Stern or Leon iterations over the generator's columns packed into uint64
-words.  Each systematic form is built from the generator's message basis by
-the chain's own single-column swap.  An iteration is one column swap (for
-Stern and Leon, one redrawn information set and its systematic form) and one
-weighed set: each set is copied into a batch and weighed a batch at a time.  A
-Canteaut-Chabaud chain is replayed in forked processes that weigh its
+The numpy half of codewords.low_weight_search: one Canteaut-Chabaud chain
+over the generator's columns packed into uint64 words.  Its first systematic
+form is built from the generator's message basis by the chain's own
+single-column swap, which is then its only set update.  An iteration is one
+column swap and one weighed set: each set is copied into a batch and weighed
+a batch at a time.  The chain is replayed in forked processes that weigh its
 batches in turn (see chain_search).  It lives apart from codewords so that
 only the commands that search load numpy.
 """
@@ -122,24 +121,21 @@ def _systematic(gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random) -
     return _permuted(red.T[rows], [at[c] - k for c in perm[k:]])
 
 
-def _weigh(sets: np.ndarray, window: int | None) -> list[tuple[int, tuple[int, ...]]]:
+def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     """The first lightest candidate of each information set in a word-major
     (W, B, k) batch of redundancy parts, as (weight, rows).
 
     Row r is e_r on the information positions, so it weighs one more than
     its redundancy part and a pair of rows two more.  Candidates are the
-    rows, then, unless window is None, the row pairs that agree on the first
-    `window` redundancy bits (the Stern window); the least pair by (weight,
-    later row, earlier row) replaces the lightest row only if strictly
-    lighter.
+    rows, then the row pairs that agree on the first `window` redundancy
+    bits (the Stern window); the least pair by (weight, later row, earlier
+    row) replaces the lightest row only if strictly lighter.
     """
     n_words, nb, k = sets.shape
     weights = np.bitwise_count(sets).sum(axis=0, dtype=np.int32)
     first = weights.argmin(axis=1)
     least = weights[np.arange(nb), first] + 1
     best = [(w, (r,)) for w, r in zip(least.tolist(), first.tolist())]
-    if window is None:
-        return best
     masks = np.array([(1 << min(64, max(0, window - 64 * t))) - 1
                       for t in range(min(max(1, -(-window // 64)), n_words))], dtype="<u8")
     keys = sets[:len(masks)] & masks[:, None, None]
@@ -193,14 +189,6 @@ def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> t
     return tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
 
 
-def _fresh(g: GeneratorMatrix, order: list[int], rng: Random) -> tuple[np.ndarray, np.ndarray]:
-    """A new information set: order shuffled, then its systematic form, as
-    (red, perm); perm is uint16, so that batched copies of it stay small."""
-    rng.shuffle(order)
-    red = _systematic(g.words, order, 512, g.n_bits, rng)
-    return red, np.array(order, dtype=np.min_scalar_type(g.n_bits))
-
-
 def chain_search(
     g: GeneratorMatrix,
     params: SearchParams,
@@ -213,42 +201,42 @@ def chain_search(
     where words and found_at stay None unless the chain finds a word
     strictly lighter than the incumbent weight.
 
-    Only the redundancy parts of the systematic rows are kept.  Each
-    iteration's information set is copied into a batch, which is weighed as
-    _weigh says when it fills and when the loop ends; the chain keeps the
-    first candidate strictly lighter than the best so far, in iteration order.
-    Every iteration makes its swap (Stern and Leon redraw the set) and weighs
-    what it leaves; the deadline is checked from the second iteration on, so
-    a chain whose setup outlasts its time slice still weighs one set.
+    Only the redundancy parts of the systematic rows are kept.  The chain
+    starts from a shuffled column order's systematic form.  Each iteration
+    makes one single-column swap and copies the information set it leaves
+    into a batch, which is weighed as _weigh says when it fills and when the
+    loop ends; the chain keeps the first candidate strictly lighter than the
+    best so far, in iteration order.  The deadline is checked from the
+    second iteration on, so a chain whose setup outlasts its time slice still
+    weighs one set.
 
-    A canteaut-chabaud chain is split over up to forks.usable_cpus()
-    processes, P in all.  The systematic form is built once; then each
-    process replays the same seeded chain of swaps, which is cheap and
-    deterministic, but copies and weighs only the batches whose index is its
-    own modulo P.  Each keeps (iteration, weight, word) for every set
-    strictly lighter than its own running best, and the records are merged
-    in iteration order by the chain's own rule.  That is exact: a set that
-    beats the chain's running best also beats its own process's.  Under a
-    deadline each process stops on its own; the chain reports the fewest
-    iterations any process ran, which some process weighed every one of,
-    and drops the records at or past it.  Stern and Leon build a fresh
-    systematic form each iteration, which a replay would repeat, so they run
-    in one process, as does any chain on one usable CPU.
+    The chain is split over up to forks.usable_cpus() processes, P in all.
+    The systematic form is built once; then each process replays the same
+    seeded chain of swaps, which is cheap and deterministic, but copies and
+    weighs only the batches whose index is its own modulo P.  Each keeps
+    (iteration, weight, word) for every set strictly lighter than its own
+    running best, and the records are merged in iteration order by the
+    chain's own rule.  That is exact: a set that beats the chain's running
+    best also beats its own process's.  Under a deadline each process stops
+    on its own; the chain reports the fewest iterations any process ran,
+    which some process weighed every one of, and drops the records at or
+    past it.  On one usable CPU nothing is forked.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
-    red, perm = _fresh(g, list(range(n)), rng)
-    fresh_each = params.algorithm in ("stern", "leon")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    red = _systematic(g.words, perm, k, n, rng)
+    perm = np.array(perm, dtype=np.min_scalar_type(n))     # uint16: batched copies stay small
     size = max(1, BATCH_BYTES // red.nbytes)
     # Every process replays all of the swaps, about 40% of a one-process run
     # at 40 steps (24 of 61 ms on a 2-vCPU VM), so P processes take at least
     # 0.4 + 0.6 / P of its time: a fifth would save 3% of it, less than a
     # forked child's start-up.  Nor is a process forked without a batch.
-    parts = 1 if fresh_each else min(forks.usable_cpus(), MAX_REPLAYS, -(-iterations // size))
+    parts = min(forks.usable_cpus(), MAX_REPLAYS, -(-iterations // size))
 
     def replay(part: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
         """(iterations done, records) of the process that weighs `part`."""
-        nonlocal red, perm
         best_w, records = incumbent, []
         # each batched set is kept with its perm, to build a word from it later
         sets = np.empty((len(red), size, k), dtype=red.dtype)
@@ -268,21 +256,18 @@ def chain_search(
             if deadline is not None and it and time.monotonic() > deadline:
                 break
             done = it + 1
-            if fresh_each and it > 0:
-                red, perm = _fresh(g, perm.tolist(), rng)
-            elif not fresh_each:
-                # the single-column swap: a redundancy column q and an information
-                # column j where row j has bit q.  The draws end, as some redundancy
-                # column is non-zero: W16's 32 bits are non-zero functions of the
-                # message for both XOR kinds, and 512 + 32 exceeds an information set.
-                while True:
-                    q = rng.randrange(k, n)
-                    j = rng.randrange(k)
-                    wq, sq = (q - k) >> 6, (q - k) & 63
-                    if red.item(wq, j) >> sq & 1:
-                        break
-                perm[j], perm[q] = perm[q], perm[j]
-                _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
+            # the single-column swap: a redundancy column q and an information
+            # column j where row j has bit q.  The draws end, as some redundancy
+            # column is non-zero: W16's 32 bits are non-zero functions of the
+            # message for both XOR kinds, and 512 + 32 exceeds an information set.
+            while True:
+                q = rng.randrange(k, n)
+                j = rng.randrange(k)
+                wq, sq = (q - k) >> 6, (q - k) & 63
+                if red.item(wq, j) >> sq & 1:
+                    break
+            perm[j], perm[q] = perm[q], perm[j]
+            _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
             if it // size % parts == part:
                 sets[:, len(its)] = red
                 perms[len(its)] = perm

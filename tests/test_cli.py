@@ -105,6 +105,12 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"),
     ("fig2", "--min-steps", "45", "--max-steps", "40"),
     ("collide", "--strict"),
+    # random.Random seeds from |seed|, so a negative seed would repeat a positive one
+    ("search", "--steps", "20", "--iterations", "5", "--seed", "-5"),
+    ("collide", "--seed", "-1"),
+    ("search", "--steps", "20", "--iterations", "5", "--algorithm", "stern"),
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5",
+     "--algorithm", "leon"),
 ], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
@@ -112,7 +118,8 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
         "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
         "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
-        "fig2-range-empty", "collide-strict"])
+        "fig2-range-empty", "collide-strict", "search-seed-negative", "collide-seed-negative",
+        "search-algorithm", "fig2-algorithm"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
@@ -127,6 +134,13 @@ NAMED_IN_ERROR = {
     ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"): "--bootstrap",
     ("fig2", "--min-steps", "45", "--max-steps", "40"): "sweep range is empty",
     ("collide", "--strict"): "unrecognized arguments: --strict",
+    ("search", "--steps", "20", "--iterations", "5", "--seed", "-5"):
+        "seed must be non-negative, got -5",
+    ("collide", "--seed", "-1"): "seed must be non-negative, got -1",
+    ("search", "--steps", "20", "--iterations", "5", "--algorithm", "stern"):
+        "unrecognized arguments: --algorithm",
+    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5",
+     "--algorithm", "leon"): "unrecognized arguments: --algorithm",
     ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):

@@ -51,12 +51,6 @@ PINNED_SEARCHES = [
                  id="n40-seed5"),
     pytest.param(XOR, 42, dict(iterations=500, seed=3), 349, 24, "794ba867edf5f63e",
                  id="n42-seed3"),
-    pytest.param(XOR, 20, dict(algorithm="stern", iterations=10, seed=1), 1, 0,
-                 "e2f769ac7480a276", id="n20-stern"),
-    pytest.param(XOR, 40, dict(algorithm="stern", iterations=3, seed=0), 334, 0,
-                 "56100b00e0cec2d6", id="n40-stern"),
-    pytest.param(XOR, 20, dict(algorithm="leon", iterations=10, seed=1), 1, 0,
-                 "e2f769ac7480a276", id="n20-leon"),
     pytest.param(XOR, 22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
                  "6704b4e02bf11d9f", id="n22-bootstrap20"),
     # a three-word window whose pairs beat every single row (the lightest weighs 159)
@@ -202,29 +196,28 @@ def reference_weigh(sets, window):
     for s in range(nb):
         rows = [sum(int(sets[w, s, r]) << 64 * w for w in range(n_words)) for r in range(k)]
         best = min((r.bit_count() + 1, (i,)) for i, r in enumerate(rows))
-        if window is not None:
-            ids = {}
-            key = np.array([ids.setdefault(r & ((1 << window) - 1), len(ids)) for r in rows])
-            same = key[earlier] == key[later]
-            pairs = zip(earlier[same].tolist(), later[same].tolist())
-            candidates = [((rows[a] ^ rows[b]).bit_count() + 2, b, a) for a, b in pairs]
-            if candidates:
-                w, b, a = min(candidates)
-                if w < best[0]:
-                    best = (w, (a, b))
+        ids = {}
+        key = np.array([ids.setdefault(r & ((1 << window) - 1), len(ids)) for r in rows])
+        same = key[earlier] == key[later]
+        pairs = zip(earlier[same].tolist(), later[same].tolist())
+        candidates = [((rows[a] ^ rows[b]).bit_count() + 2, b, a) for a, b in pairs]
+        if candidates:
+            w, b, a = min(candidates)
+            if w < best[0]:
+                best = (w, (a, b))
         out.append(best)
     return out
 
 
 class TestBatchedWeighing:
-    @pytest.mark.parametrize("window", [None, 0, 1, 5, 12, 55, 56, 60, 64, 70, 130, 400])
+    @pytest.mark.parametrize("window", [0, 1, 5, 12, 55, 56, 60, 64, 70, 130, 400])
     def test_matches_one_set_at_a_time(self, window):
         # each row is one of 8 bases (7 dense, one of weight about 12) plus
         # noise of weight about 3, so pairs on one base are light, single
         # rows on the light base about as light, and many candidates tie;
         # windows past 55 bits are longer than the sort key, and 400 is
         # longer than the rows
-        rng = np.random.default_rng(window or 0)
+        rng = np.random.default_rng(window)
 
         def sparse(shape, ands):
             out = rng.integers(0, 1 << 64, shape, dtype=np.uint64)
@@ -313,13 +306,6 @@ class TestSearch:
         res = low_weight_search(g, SearchParams(iterations=150, seed=0))
         assert res.weight == 1
 
-    def test_alternative_algorithms_run(self):
-        g = build_generator(XOR, 20)
-        for algo in ("stern", "leon"):
-            res = low_weight_search(g, SearchParams(algorithm=algo, iterations=10, seed=1))
-            valid, w = verify_codeword(res.words, XOR)
-            assert valid and w == res.weight
-
     def test_bootstrap_produces_valid_incumbent(self):
         g = build_generator(XOR, 22)
         res = low_weight_search(g, SearchParams(iterations=40, seed=0, bootstrap_lengths=(20,)))
@@ -355,12 +341,8 @@ class TestSearch:
             SearchParams()
         with pytest.raises(ValueError):
             SearchParams(iterations=0)
-        with pytest.raises(ValueError):
-            SearchParams(iterations=5, algorithm="gradient-descent")
         with pytest.raises(ValueError, match="window"):
             SearchParams(iterations=5, window=-1)
-        with pytest.raises(ValueError, match="window"):
-            SearchParams(iterations=5, algorithm="leon", window=12)
         for budget in (0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="time budget"):
                 SearchParams(iterations=5, budget_secs=budget)
@@ -486,14 +468,6 @@ class TestSplit:
         batches = -(-params["iterations"] // (isd.BATCH_BYTES // set_bytes))
         assert len(forks) == min(cpus, batches) - 1
         assert_reaped(forks)
-
-    def test_stern_runs_in_one_process(self, monkeypatch, forks):
-        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
-        res = low_weight_search(build_generator(XOR, 40),
-                                SearchParams(algorithm="stern", iterations=3, seed=0))
-        assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
-            334, 0, "56100b00e0cec2d6")
-        assert forks == []
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_deadline_reports_iterations_every_process_ran(self, monkeypatch, forks, cpus):
