@@ -63,9 +63,7 @@ def propagate(config: VariantConfig, delta_w: Sequence[int]) -> tuple[tuple[int,
     return tuple(RegisterState(*row) for row in rows)
 
 
-def build_characteristic(
-    delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS
-) -> Characteristic:
+def superpose(delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS) -> tuple[int, ...]:
     """Superpose a disturbance sequence with its weighted delayed copies.
 
     C[j] = delta[j] + sum_k coeffs[k-1] * delta[j-k]; negative coefficients are
@@ -75,15 +73,21 @@ def build_characteristic(
     if len(coeffs) != 8:
         raise ValueError("expected 8 correction coefficients for offsets 1..8")
     words = [int(x) & M32 for x in delta]
-    n = len(words)
     c = []
-    for j in range(n):
+    for j in range(len(words)):
         acc = words[j]
         for k in range(1, 9):
             if j - k >= 0:
                 acc += coeffs[k - 1] * words[j - k]
         c.append(acc & M32)
-    return Characteristic(tuple(c), propagate(make_variant("add_linear"), c))
+    return tuple(c)
+
+
+def build_characteristic(delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS
+                         ) -> Characteristic:
+    """The words superpose(delta, coeffs) with their register-difference table."""
+    c = superpose(delta, coeffs)
+    return Characteristic(c, propagate(make_variant("add_linear"), c))
 
 
 @lru_cache(maxsize=1)
@@ -142,9 +146,9 @@ def scaled_kernel(multiple: int, strict: bool = True) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_characteristic(multiple: int, strict: bool) -> Characteristic:
-    """The correction characteristic of multiple * delta, built once per pair."""
-    return build_characteristic(build_E().vec(scaled_kernel(multiple, strict)))
+def _kernel_words(multiple: int, strict: bool) -> tuple[int, ...]:
+    """The 64 superposed words of multiple * delta, without a register table."""
+    return superpose(build_E().vec(scaled_kernel(multiple, strict)))
 
 
 def find_collision_add_linear(
@@ -161,17 +165,18 @@ def find_collision_add_linear(
     steps at which the characteristic stops being a valid expansion, since
     that is the only way the cancellation can break.  A multiple that scales
     delta to zero would pair m with itself and is rejected.  The
-    characteristic depends only on (multiple, strict) and is built once per
-    pair; both compressions and the digest check run on every call.
+    characteristic's 64 words depend only on (multiple, strict) and are built
+    once per pair, without the register table that build_characteristic adds;
+    both compressions and the digest check run on every call.
     """
     block = as_block(m)
-    characteristic = _kernel_characteristic(multiple, strict)
-    m_prime = tuple((x + d) & M32 for x, d in zip(block, characteristic.expanded_diff[:16]))
+    words = _kernel_words(multiple, strict)
+    m_prime = tuple((x + d) & M32 for x, d in zip(block, words[:16]))
     config = make_variant("add_linear")
     digest = compress(FIPS_IV, block, config)
     digest_prime = compress(FIPS_IV, m_prime, config)
     if digest != digest_prime:
-        mism = expansion_mismatches(characteristic.expanded_diff)
+        mism = expansion_mismatches(words)
         raise CollisionError(
             "characteristic does not survive the message expansion: "
             f"recurrence broken at steps {mism[:6]}{'...' if len(mism) > 6 else ''}; "

@@ -4,7 +4,9 @@ compression function parameterised by a variant configuration.
 
 The one state update, `_update`, runs on a plain 8-tuple with the variant's
 (Σ0, Σ1, Maj, Ch) from `_functions`, which `compress` and difference
-propagation resolve once per call; `step` wraps it for every other caller.
+propagation resolve once per call; an identity S-box is a None Σ, for
+which the register enters the sum as it is.  `step` wraps it for every
+other caller.
 It masks only the two words it outputs: exact on Python ints, and on numpy
 `uint32` arrays every operation already wraps modulo 2^32, so it serves
 single states, batches and exact difference propagation alike.  `expand`
@@ -70,10 +72,6 @@ def small_sigma0(x: int) -> int:
 
 def small_sigma1(x: int) -> int:
     return rotr(x, 17) ^ rotr(x, 19) ^ shr(x, 10)
-
-
-def identity32(x: int) -> int:
-    return x
 
 
 class SboxMode(enum.Enum):
@@ -148,18 +146,19 @@ def pad_single_block(data: bytes) -> tuple[int, ...]:
 
 
 def _functions(config: "VariantConfig") -> tuple:
-    """The variant's (Σ0, Σ1, Maj, Ch)."""
+    """The variant's (Σ0, Σ1, Maj, Ch); both Σ are None for an identity S-box."""
     standard_sboxes = config.sbox_mode is SboxMode.STANDARD
-    sigmas = (big_sigma0, big_sigma1) if standard_sboxes else (identity32, identity32)
+    sigmas = (big_sigma0, big_sigma1) if standard_sboxes else (None, None)
     return sigmas + ((maj, ch) if config.bool_mode is BoolMode.STANDARD else (add3, add3))
 
 
 def _update(state: tuple, w: int, k: int, functions: tuple) -> tuple:
-    """The state update on a plain 8-tuple, with functions from _functions."""
+    """The state update on a plain 8-tuple, with functions from _functions;
+    a None Σ is the identity, so the register itself enters the sum."""
     bs0, bs1, f_maj, f_ch = functions
     a, b, c, d, e, f, g, h = state
-    t1 = h + bs1(e) + f_ch(e, f, g) + k + w
-    t2 = bs0(a) + f_maj(a, b, c)
+    t1 = h + (e if bs1 is None else bs1(e)) + f_ch(e, f, g) + k + w
+    t2 = (a if bs0 is None else bs0(a)) + f_maj(a, b, c)
     return ((t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g)
 
 

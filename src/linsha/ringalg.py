@@ -58,17 +58,18 @@ def build_E() -> WordMatrix:
 def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[tuple[int, ...]]:
     """Generators of {x : S.x = 0 mod 2^exponent} by a Smith-form elimination.
 
-    Each stage takes as pivot the entry of the trailing block with the least
-    (2-adic valuation, row, column).  An odd entry has valuation 0, the least
-    possible, so the first odd entry in row-major order is that minimum: the
-    search stops there and scans the whole block only when no entry is odd,
-    which picks the same pivot as a full scan.  The stage clears the pivot's
-    column with row operations P (which keep the kernel) and its row with
-    column operations, recorded in C.  The diagonal D = P.S.C that remains
+    Stage t works on the trailing block (rows and columns >= t; all else is
+    already zero) and takes as pivot its entry of least (2-adic valuation,
+    row, column): the first odd entry in row-major order when there is one,
+    else the least of a full scan.  It swaps the pivot to (t, t), clears its
+    column with row operations P, which keep the kernel, and its row with
+    column operations, which it only records: t, the column j swapped in,
+    and the multiplier f_k of each column k > t.  The diagonal D = P.S.C
     has kernel generators 2^(exponent - v_j).e_j for each diagonal entry of
-    valuation v_j > 0, and e_j where the diagonal is zero or j is past the
-    last row; C maps them onto the kernel of S.  Raises ValueError on an
-    empty or ragged system or an exponent below 1.
+    valuation v_j > 0, and e_j where it is zero or j is past the last row.
+    Only those columns of C are built, each from e_j with the stages in
+    reverse (x[t] -= sum f_k.x[k], then swap x[t] and x[j]).  Raises
+    ValueError on an empty or ragged system or an exponent below 1.
     """
     s = [list(row) for row in system]
     if exponent < 1:
@@ -77,41 +78,42 @@ def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[t
         raise ValueError("system must be a non-empty rectangular matrix")
     mask = (1 << exponent) - 1
     nrows, n = len(s), len(s[0])
-    a = [[x & mask for x in row] for row in s]
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]     # C, column by column
-    diag = [0] * n
+    block = [[x & mask for x in row] for row in s]      # rows and columns >= t
+    stages, diag = [], [0] * n
     for t in range(min(nrows, n)):
-        pivot = next(((1, i, j) for i in range(t, nrows) for j in range(t, n) if a[i][j] & 1),
-                     None)
+        pivot = next(((1, i, j) for i, row in enumerate(block) for j, x in enumerate(row)
+                      if x & 1), None)
         if pivot is None:
-            pivot = min(((x & -x, i, j) for i in range(t, nrows) for j in range(t, n)
-                         if (x := a[i][j])), default=None)
+            pivot = min(((x & -x, i, j) for i, row in enumerate(block) for j, x in enumerate(row)
+                         if x), default=None)
         if pivot is None:
             break
         low, i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        cols[t], cols[j] = cols[j], cols[t]
+        block[0], block[i] = block[i], block[0]
+        for row in block:
+            row[0], row[j] = row[j], row[0]
         v = low.bit_length() - 1
-        inv = pow(a[t][t] >> v, -1, 1 << exponent)
-        top = a[t]
-        for row in a[t + 1:]:
-            if row[t]:
-                f = (row[t] >> v) * inv
-                row[:] = [(x - f * y) & mask for x, y in zip(row, top)]
-        for k in range(t + 1, n):
-            if top[k]:
-                f = (top[k] >> v) * inv
-                cols[k] = [(x - f * y) & mask for x, y in zip(cols[k], cols[t])]
-                top[k] = 0
-        diag[t] = top[t]
+        top = block[0]
+        inv = pow(top[0] >> v, -1, 1 << exponent)
+        diag[t] = top[0]
+        rest = top[1:]
+        below = []
+        for row in block[1:]:
+            f = (row[0] >> v) * inv
+            below.append([(x - f * y) & mask for x, y in zip(row[1:], rest)])
+        block = below
+        stages.append((t, t + j, [((x >> v) * inv) & mask for x in rest]))
     gens = []
-    for d, col in zip(diag, cols):
+    for g, d in enumerate(diag):
         if d & 1:
             continue
+        x = [0] * n
+        x[g] = 1
+        for t, j, factors in reversed(stages):
+            x[t] = (x[t] - sum(f * y for f, y in zip(factors, x[t + 1:]))) & mask
+            x[t], x[j] = x[j], x[t]
         shift = exponent - (d & -d).bit_length() + 1 if d else 0
-        gens.append(tuple((x << shift) & mask for x in col))
+        gens.append(tuple((y << shift) & mask for y in x))
     if any(sum(x * y for x, y in zip(row, g)) & mask for g in gens for row in s):
         raise AssertionError("Smith-form kernel generator fails the system")
     return gens

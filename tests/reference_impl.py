@@ -5,12 +5,15 @@ and backwards on unit words.  The routes here are the textbook ones they are
 checked against: the companion matrix A of the recurrence, its powers, and
 Gauss-Jordan inversion over Z_2^32.  `linsha.isd` builds a systematic form
 from the generator's message basis by single-column swaps; the route here is
-a full reduced elimination over the permuted generator.
+a full reduced elimination over the permuted generator.  `kernel_mod_2e`
+builds only the generator columns of its Smith transform from recorded
+stages; the route here applies every stage to all of the transform.
 """
 
 from __future__ import annotations
 
 from random import Random
+from typing import Sequence
 
 import numpy as np
 
@@ -123,3 +126,58 @@ def systematic_by_elimination(
         # row i is zero on the columns before i, so its earlier words stay
         arr[wi:] ^= arr[wi:, i, None] & -col
     return arr[k // 64:].copy()
+
+
+def kernel_by_full_transform(system: Sequence[Sequence[int]],
+                              exponent: int = 32) -> list[tuple[int, ...]]:
+    """Generators of {x : S.x = 0 mod 2^exponent}, with every stage applied to all of C.
+
+    The same pivots as `linsha.ringalg.kernel_mod_2e`, but row operations
+    over whole rows and each stage's column operations applied to all n
+    columns of C at once, which then holds every column of the transform.
+    """
+    s = [list(row) for row in system]
+    if exponent < 1:
+        raise ValueError(f"exponent must be at least 1, got {exponent}")
+    if not s or not s[0] or any(len(row) != len(s[0]) for row in s):
+        raise ValueError("system must be a non-empty rectangular matrix")
+    mask = (1 << exponent) - 1
+    nrows, n = len(s), len(s[0])
+    a = [[x & mask for x in row] for row in s]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]     # C, column by column
+    diag = [0] * n
+    for t in range(min(nrows, n)):
+        pivot = next(((1, i, j) for i in range(t, nrows) for j in range(t, n) if a[i][j] & 1),
+                     None)
+        if pivot is None:
+            pivot = min(((x & -x, i, j) for i in range(t, nrows) for j in range(t, n)
+                         if (x := a[i][j])), default=None)
+        if pivot is None:
+            break
+        low, i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        v = low.bit_length() - 1
+        inv = pow(a[t][t] >> v, -1, 1 << exponent)
+        top = a[t]
+        for row in a[t + 1:]:
+            if row[t]:
+                f = (row[t] >> v) * inv
+                row[:] = [(x - f * y) & mask for x, y in zip(row, top)]
+        for k in range(t + 1, n):
+            if top[k]:
+                f = (top[k] >> v) * inv
+                cols[k] = [(x - f * y) & mask for x, y in zip(cols[k], cols[t])]
+                top[k] = 0
+        diag[t] = top[t]
+    gens = []
+    for d, col in zip(diag, cols):
+        if d & 1:
+            continue
+        shift = exponent - (d & -d).bit_length() + 1 if d else 0
+        gens.append(tuple((x << shift) & mask for x in col))
+    if any(sum(x * y for x, y in zip(row, g)) & mask for g in gens for row in s):
+        raise AssertionError("Smith-form kernel generator fails the system")
+    return gens

@@ -2,15 +2,18 @@
 
 import pytest
 
+from linsha import disturbance
 from linsha.disturbance import (
     CORRECTION_COEFFS,
     CollisionError,
+    _kernel_words,
     build_characteristic,
     delay,
     expansion_mismatches,
     find_collision_add_linear,
     propagate,
     random_block,
+    scaled_kernel,
 )
 from linsha.primitives import (
     ExpansionKind,
@@ -173,25 +176,40 @@ class TestCollisions:
         # each relaxed multiple against its characteristic built by hand: the
         # mismatch steps and digest difference a failure carries, or the
         # collision when the hand-built difference cancels
-        from linsha.ringalg import solve_disturbance_kernel
+        self._check_cached_characteristic(random_block(rng), False, range(1, 16))
 
-        (delta,) = solve_disturbance_kernel(strict=False)
+    def test_cached_strict_characteristic_keeps_every_diagnostic(self, rng):
+        # the odd strict multiples; an even one scales the generator to zero
+        self._check_cached_characteristic(random_block(rng), True, range(1, 16, 2))
+
+    @staticmethod
+    def _check_cached_characteristic(m, strict, multiples):
         cfg = make_variant("add_linear")
-        m = random_block(rng)
-        for multiple in range(1, 16):
-            scaled = [(multiple * x) & M32 for x in delta]
-            c = build_characteristic(build_E().vec(scaled)).expanded_diff
+        for multiple in multiples:
+            c = build_characteristic(build_E().vec(scaled_kernel(multiple, strict))).expanded_diff
+            assert _kernel_words(multiple, strict) == c
             m2 = tuple((a + d) & M32 for a, d in zip(m, c[:16]))
             digest_delta = compress(FIPS_IV, m2, cfg).sub(compress(FIPS_IV, m, cfg))
-            for _ in range(2):          # a cached characteristic answers alike
+            for _ in range(2):          # cached words answer alike
                 if any(digest_delta):
                     with pytest.raises(CollisionError) as exc_info:
-                        find_collision_add_linear(m, multiple, strict=False)
+                        find_collision_add_linear(m, multiple, strict=strict)
                     assert exc_info.value.mismatch_steps == expansion_mismatches(c)
                     assert exc_info.value.digest_delta == digest_delta
                 else:
-                    res = find_collision_add_linear(m, multiple, strict=False)
+                    res = find_collision_add_linear(m, multiple, strict=strict)
                     assert res.message_prime == m2
+
+    def test_collision_needs_no_register_table(self, rng, monkeypatch):
+        # collide applies cached words only: the register-difference table
+        # that build_characteristic adds is never propagated on its path
+        def refuse(*args):
+            raise AssertionError("propagate called on the collision path")
+
+        _kernel_words.cache_clear()
+        monkeypatch.setattr(disturbance, "propagate", refuse)
+        res = find_collision_add_linear(random_block(rng), 1)
+        assert res.digest == res.digest_prime
 
     def test_relaxed_kernel_does_not_collide(self, rng):
         # its backward extension words are nonzero, so the 16-word difference

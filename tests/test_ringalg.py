@@ -19,7 +19,15 @@ from linsha.ringalg import (
     solve_disturbance_kernel,
 )
 from conftest import KERNEL_GENERATOR, STRICT_GENERATOR
-from reference_impl import block_advance, build_A, identity_matrix, invert, matrix_pow, mul
+from reference_impl import (
+    block_advance,
+    build_A,
+    identity_matrix,
+    invert,
+    kernel_by_full_transform,
+    matrix_pow,
+    mul,
+)
 
 
 # kernel_mod_2e's raw output on each condition system, before
@@ -155,6 +163,32 @@ class TestKernel:
             frontier = list(sums - span)
             span |= sums
         assert span == solutions
+
+    def test_kernel_mod_2e_equals_full_transform(self):
+        # the recorded stages and back-substituted generator columns against
+        # the elimination that applies every stage to all of C: the same raw
+        # generators, or the same error, on seeded systems whose entries mix
+        # zeros, small powers of two, odd and full-width words (so zero rows,
+        # zero columns and rank-deficient systems all occur), on both
+        # condition systems and on the inputs either rejects
+        def outcome(solve, system, exponent):
+            try:
+                return solve(system, exponent)
+            except (ValueError, AssertionError) as exc:
+                return type(exc), str(exc)
+
+        rnd = random.Random(2014)
+        entries = (lambda e: 0, lambda e: 1 << rnd.randrange(min(e, 5)),
+                   lambda e: rnd.getrandbits(e) | 1, lambda e: rnd.getrandbits(32))
+        cases = [(cs.rows, 32) for cs in (condition_system(False), condition_system(True))]
+        cases += [([], 32), ([[]], 32), ([[1, 2], [3]], 32), ([[1, 2]], 0), ([[1, 2]], -1)]
+        for _ in range(400):
+            exponent, nrows, ncols = rnd.randint(1, 32), rnd.randint(1, 8), rnd.randint(1, 8)
+            cases.append(([[rnd.choice(entries)(exponent) for _ in range(ncols)]
+                           for _ in range(nrows)], exponent))
+        for system, exponent in cases:
+            assert (outcome(kernel_mod_2e, system, exponent)
+                    == outcome(kernel_by_full_transform, system, exponent)), (system, exponent)
 
     @pytest.mark.parametrize("system, exponent", [
         ([], 32),
