@@ -207,8 +207,6 @@ def isolated_condition_count(i: int = 20) -> int:
 class McResult(NamedTuple):
     successes: int
     trials: int
-    seed: int
-    workers: int
 
     @property
     def rate(self) -> float:
@@ -313,12 +311,12 @@ def monte_carlo_local_collision(
     trials: int,
     seed: int = 0,
     workers: int = 1,
-    disturbance: int = MSB,
 ) -> McResult:
     """Empirical cancellation rate of one corrected MSB disturbance at step i.
 
-    Draws uniform register states and message words, injects the disturbance
-    plus its offset-{3,4,8} corrections into the paired run, and counts trials
+    Draws uniform register states and message words, injects the MSB at
+    step i plus its offset-{3,4,8} corrections (the offsets where
+    MSB_CORRECTION_COEFFS is 1) into the paired run, and counts trials
     whose register difference is fully cancelled after step i+9.  Workers own
     generators seeded from (seed, worker index); their counts merge by
     summation, so results are deterministic for a fixed (seed, workers).  The
@@ -334,17 +332,11 @@ def monte_carlo_local_collision(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if disturbance not in (0, MSB):
-        raise ValueError("disturbance must be 0 or the MSB")
     # numpy is imported by the functions that use it: table2 and table3 also
     # load this module, and they never run numpy code
     import numpy as np
 
-    schedule = np.zeros(9, dtype=np.uint32)
-    if disturbance:
-        for offset, coeff in [(0, 1)] + list(enumerate(MSB_CORRECTION_COEFFS, start=1)):
-            if coeff:
-                schedule[offset] ^= np.uint32(MSB)
+    schedule = np.array([MSB * c for c in (1, *MSB_CORRECTION_COEFFS)], dtype=np.uint32)
     base, extra = divmod(trials, workers)
     # streams without trials draw nothing and contribute nothing
     streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
@@ -352,7 +344,7 @@ def monte_carlo_local_collision(
     blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
               for p in range(procs)]
     successes = sum(forks.forked(lambda block: _mc_streams(i, schedule, seed, block), blocks))
-    return McResult(successes, trials, seed, workers)
+    return McResult(successes, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +476,12 @@ def satisfy_first16(
     order: a violated condition triggers a deterministic candidate sweep over
     adjustments of that word.  A condition the sweep cannot meet is reported
     as a hard failure, naming the earlier conditions it contradicts when
-    GF(2) elimination over bit 31 of a and e finds them.
+    GF(2) elimination over bit 31 of a and e finds them.  The seed, which
+    draws the sweep's random candidates, must be non-negative.
     """
+    if seed < 0:
+        # random.Random seeds from |seed|, so -5 would repeat 5's candidates
+        raise ValueError(f"seed must be non-negative, got {seed}")
     config = make_variant("no_sbox")
     words = list(as_block(m))
     conditions = _conditions_by_step(dstar, 16)

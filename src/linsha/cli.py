@@ -2,8 +2,10 @@
 
 Every analysis is a subcommand.  Each run prints a JSON report to stdout
 (command, parameters, seed, elapsed seconds, result payload) and a short
-human summary to stderr.  Exit codes: 0 success, 1 the computation ran but
-the check failed (invalid word, missed collision), 2 usage error.
+human summary to stderr.  Only collide, local-collision-mc, search and fig2
+draw random numbers and take --seed; the others report a null seed.  Exit
+codes: 0 success, 1 the computation ran but the check failed (invalid word,
+missed collision), 2 usage error.
 
 Each command loads only the layer modules it runs, numpy among them where it
 runs numpy code: `main` imports the command's entry of `COMMAND_MODULES`
@@ -49,12 +51,8 @@ COMMAND_MODULES = {
 }
 
 
-def _hex(w: int) -> str:
-    return f"{w & 0xFFFFFFFF:08x}"
-
-
 def _hexlist(words) -> list[str]:
-    return [_hex(w) for w in words]
+    return [f"{w & 0xFFFFFFFF:08x}" for w in words]
 
 
 def _resolve_seed(raw: str) -> int:
@@ -231,7 +229,7 @@ def cmd_census(args) -> tuple[Any, str, int]:
 
 
 def cmd_search(args) -> tuple[Any, str, int]:
-    from .codewords import SearchParams, build_generator, low_weight_search
+    from .codewords import SearchParams, build_generator, low_weight_search, write_codeword_file
     kind = ExpansionKind(args.kind)
     g = build_generator(kind, args.steps)
     try:
@@ -243,11 +241,9 @@ def cmd_search(args) -> tuple[Any, str, int]:
                           seed=args.seed, bootstrap_lengths=boot)
     res = low_weight_search(g, params)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# weight {res.weight} at {res.n_steps} steps, kind {kind.value}\n")
-            fh.write(f"# seed {res.seed}, {res.iterations_run} iterations, origin {res.origin}\n")
-            for w in res.words:
-                fh.write(_hex(w) + "\n")
+        write_codeword_file(args.out, res.words, (
+            f"weight {res.weight} at {res.n_steps} steps, kind {kind.value}",
+            f"seed {res.seed}, {res.iterations_run} iterations, origin {res.origin}"))
     result = {"weight": res.weight, "words": _hexlist(res.words),
               "steps": res.n_steps, "kind": kind.value, "iterations_run": res.iterations_run,
               "found_at_iteration": res.found_at_iteration, "origin": res.origin,
@@ -271,7 +267,8 @@ def cmd_verify_word(args) -> tuple[Any, str, int]:
 
 
 def cmd_extend_word(args) -> tuple[Any, str, int]:
-    from .codewords import extend_codeword, load_codeword_file, resolve_word_order
+    from .codewords import (extend_codeword, load_codeword_file, resolve_word_order,
+                            write_codeword_file)
     kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, _ = resolve_word_order(words, kind)
@@ -280,10 +277,8 @@ def cmd_extend_word(args) -> tuple[Any, str, int]:
                 f"{args.file}: not a valid word, cannot extend", 1)
     ext = extend_codeword(resolved, args.steps, kind)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# extended from {len(resolved)} to {args.steps} steps\n")
-            for w in ext:
-                fh.write(_hex(w) + "\n")
+        write_codeword_file(args.out, ext,
+                            (f"extended from {len(resolved)} to {args.steps} steps",))
     result = {"valid": True, "from_steps": len(resolved), "to_steps": args.steps,
               "weight": seq_weight(ext), "words": _hexlist(ext), "order": order,
               "out": args.out}
@@ -327,11 +322,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    # only the commands that draw random numbers take --seed; the others
+    # report a null seed
+    def add(name, handler, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", default="0",
-                       help="integer seed, or 'random' (default 0)")
+        if seeded:
+            p.add_argument("--seed", default="0",
+                           help="integer seed, or 'random' (default 0)")
+        else:
+            p.set_defaults(seed=None)
         return p
 
     add("vectors", cmd_vectors, help="reference digests for all presets")
@@ -346,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="use the backward-zero form of the second condition")
 
-    p = add("collide", cmd_collide, help="verified collisions for the ADD-linear variant")
+    p = add("collide", cmd_collide, seeded=True,
+            help="verified collisions for the ADD-linear variant")
     p.add_argument("--multiple", type=int, default=1,
                    help="kernel multiple in 0..15 that leaves the difference nonzero: "
                         "odd for the strict kernel (order 2), nonzero for the relaxed one")
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("table3", cmd_table3, help="per-step activity and cost accounting")
     p.add_argument("--out", default=None, help="write CSV here")
 
-    p = add("local-collision-mc", cmd_local_collision_mc,
+    p = add("local-collision-mc", cmd_local_collision_mc, seeded=True,
             help="Monte Carlo estimate of one local collision")
     p.add_argument("--start-step", type=int, default=20)
     p.add_argument("--trials", "--iterations", type=int, default=1 << 16,
@@ -373,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
 
-    p = add("search", cmd_search, help="low-weight codeword search")
+    p = add("search", cmd_search, seeded=True, help="low-weight codeword search")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--iterations", type=int, default=None)
@@ -393,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = add("fig2", cmd_fig2, help="weight-vs-steps sweep")
+    p = add("fig2", cmd_fig2, seeded=True, help="weight-vs-steps sweep")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--min-steps", type=int, default=16)
     p.add_argument("--max-steps", type=int, default=64)
@@ -413,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     for module in COMMAND_MODULES.get(args.command, ()):
         importlib.import_module(module)
     try:
-        args.seed = _resolve_seed(args.seed)
+        if args.seed is not None:
+            args.seed = _resolve_seed(args.seed)
         t0 = time.monotonic()
         result, human, code = args.handler(args)
     except (ValueError, OSError) as exc:

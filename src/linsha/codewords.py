@@ -120,14 +120,14 @@ def extend_codeword(
 
 
 class SearchParams(Frozen):
-    """A search's iteration or time budget, the Stern collision window in
-    bits over which the chain pairs rows (12 by default), its seed and its
-    bootstrap lengths."""
+    """A search's iteration or time budget, its seed and its bootstrap
+    lengths.  The chain pairs rows on a fixed Stern window of isd.WINDOW
+    (12) bits."""
 
-    __slots__ = ("iterations", "budget_secs", "window", "seed", "bootstrap_lengths")
+    __slots__ = ("iterations", "budget_secs", "seed", "bootstrap_lengths")
 
     def __init__(self, iterations: int | None = None, budget_secs: float | None = None,
-                 window: int = 12, seed: int = 0, bootstrap_lengths: tuple[int, ...] = ()) -> None:
+                 seed: int = 0, bootstrap_lengths: tuple[int, ...] = ()) -> None:
         if iterations is None and budget_secs is None:
             raise ValueError("give an iteration count or a time budget")
         if iterations is not None and iterations < 1:
@@ -135,15 +135,15 @@ class SearchParams(Frozen):
         if budget_secs is not None and not 0 < budget_secs < math.inf:
             # a NaN budget never expires and an infinite one cannot be reported
             raise ValueError(f"time budget must be a positive finite number, got {budget_secs}")
-        if window < 0:
-            raise ValueError("Stern window must be non-negative")
-        self._bind(iterations, budget_secs, window, seed, bootstrap_lengths)
+        if seed < 0:
+            # random.Random seeds from |seed|, so -5 would repeat 5's chain
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self._bind(iterations, budget_secs, seed, bootstrap_lengths)
 
 
 class SearchResult(NamedTuple):
     words: tuple[int, ...]
     weight: int
-    kind: ExpansionKind
     n_steps: int
     seed: int
     iterations_run: int
@@ -199,7 +199,7 @@ def _search_from(
     if g.n_bits == 512:
         # no redundancy, every vector is a codeword; a unit vector is minimal
         words = tuple([1] + [0] * (g.n_steps - 1))
-        return SearchResult(words, 1, g.kind, g.n_steps, params.seed, 0, None, "search")
+        return SearchResult(words, 1, g.n_steps, params.seed, 0, None, "search")
 
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
@@ -207,15 +207,15 @@ def _search_from(
     iterations = params.iterations if params.iterations is not None else 1 << 62
     deadline = t0 + params.budget_secs if params.budget_secs is not None else None
     # the seed a search's first chain always had, so every earlier result stays bit for bit
-    w, words, found_at, iters_done = chain_search(g, params, params.seed * 1000003,
-                                                  iterations, deadline, best_w)
+    w, words, found_at, iters_done = chain_search(g, params.seed * 1000003, iterations,
+                                                  deadline, best_w)
     if words is not None:
         best_w, best_words, origin = w, words, "search"
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
-    return SearchResult(best_words, weight, g.kind, g.n_steps, params.seed, iters_done,
-                        found_at, origin)
+    return SearchResult(best_words, weight, g.n_steps, params.seed, iters_done, found_at,
+                        origin)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,13 @@ def load_codeword_file(path: str) -> list[int]:
                 raise ValueError(f"expected 8 hex digits per line, got {line!r}")
             words.append(int(line, 16))
     return words
+
+
+def write_codeword_file(path: str, words: Sequence[int], comments: Sequence[str]) -> None:
+    """The format load_codeword_file reads: each comment as a # line, then
+    one 8-hex-digit word per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([*(f"# {c}\n" for c in comments), *(f"{w:08x}\n" for w in words)])
 
 
 def resolve_word_order(

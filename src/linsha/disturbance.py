@@ -11,19 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .primitives import (
-    BoolMode,
-    FIPS_IV,
-    M32,
-    RegisterState,
-    SboxMode,
-    _functions,
-    _update,
-    as_block,
-    compress,
-)
+from .primitives import FIPS_IV, M32, RegisterState, _functions, _update, as_block, compress
 from .ringalg import build_E, element_order, solve_disturbance_kernel
-from .variants import VariantConfig, make_variant
+from .variants import make_variant
 
 # correction coefficients at offsets 1..8 after a disturbance (offset 0 is the
 # disturbance itself, weight 1); offset 7 is the lone structural zero
@@ -46,17 +36,15 @@ class Characteristic(NamedTuple):
         return all(x == 0 for x in self.register_diffs[-1])
 
 
-def propagate(config: VariantConfig, delta_w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Exact register-difference table for a fully linear configuration.
+def propagate(delta_w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Exact register-difference table of the fully linear add_linear variant.
 
     Row s is the 8-tuple of register differences before step s; there are
     len(delta_w) + 1 rows.  Differences propagate independently of the actual
     state because the whole step map is affine, so updating the zero state
     with the word differences and a zero constant computes them exactly.
     """
-    if config.sbox_mode is not SboxMode.IDENTITY or config.bool_mode is not BoolMode.MODULAR_ADD:
-        raise ValueError("exact difference propagation needs the fully linear configuration")
-    functions = _functions(config)
+    functions = _functions(make_variant("add_linear"))
     rows = [(0,) * 8]
     for dw in delta_w:
         rows.append(_update(rows[-1], dw, 0, functions))
@@ -87,7 +75,7 @@ def build_characteristic(delta: Sequence[int], coeffs: Sequence[int] = CORRECTIO
                          ) -> Characteristic:
     """The words superpose(delta, coeffs) with their register-difference table."""
     c = superpose(delta, coeffs)
-    return Characteristic(c, propagate(make_variant("add_linear"), c))
+    return Characteristic(c, propagate(c))
 
 
 @lru_cache(maxsize=1)

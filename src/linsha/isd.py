@@ -21,7 +21,7 @@ import numpy as np
 from . import forks
 
 if TYPE_CHECKING:
-    from .codewords import GeneratorMatrix, SearchParams
+    from .codewords import GeneratorMatrix
 
 # The searches work on a word-major layout: a (W, 512) little-endian uint64
 # array whose element [w, r] holds bits 64w..64w+63 of row r (bit c at bit
@@ -35,6 +35,7 @@ BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
 PAIR_CHUNK = 1 << 13        # row pairs weighed at once, plus at most 511
 ROW_BITS = 9                # bits of a row index: the generator has 512 rows
 MAX_REPLAYS = 4             # processes one chain is replayed in, at most (see chain_search)
+WINDOW = 12                 # Stern window: the leading redundancy bits a row pair must share
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -129,20 +130,20 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     its redundancy part and a pair of rows two more.  Candidates are the
     rows, then the row pairs that agree on the first `window` redundancy
     bits (the Stern window); the least pair by (weight, later row, earlier
-    row) replaces the lightest row only if strictly lighter.
+    row) replaces the lightest row only if strictly lighter.  The window is
+    at most 64 - ROW_BITS = 55 bits, the part of a sort key above the row
+    index.
     """
     n_words, nb, k = sets.shape
     weights = np.bitwise_count(sets).sum(axis=0, dtype=np.int32)
     first = weights.argmin(axis=1)
     least = weights[np.arange(nb), first] + 1
     best = [(w, (r,)) for w, r in zip(least.tolist(), first.tolist())]
-    masks = np.array([(1 << min(64, max(0, window - 64 * t))) - 1
-                      for t in range(min(max(1, -(-window // 64)), n_words))], dtype="<u8")
-    keys = sets[:len(masks)] & masks[:, None, None]
-    # sort each set's rows by the first 64 - ROW_BITS window bits, with the
-    # row index below them, so that a bucket's rows come in ascending order
+    # sort each set's rows by their window bits, with the row index below
+    # them, so that a bucket's rows come in ascending order
     pos = np.arange(k)
-    ranked = np.sort(keys[0] << ROW_BITS | pos.astype(np.uint64), axis=1)
+    keys = sets[0] & np.uint64((1 << window) - 1)
+    ranked = np.sort(keys << ROW_BITS | pos.astype(np.uint64), axis=1)
     # the batch's columns are indexed s * k + r: set s, row r
     order = ((ranked & np.uint64(k - 1)).astype(np.intp) + k * np.arange(nb)[:, None]).ravel()
     ranked = ranked.ravel() >> ROW_BITS
@@ -154,7 +155,6 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     run = np.arange(len(at))
     depth = run + 1 - np.maximum.accumulate(np.where(np.diff(at, prepend=-1) != 1, run, 0))
     columns = sets.reshape(n_words, nb * k)
-    keys = keys.reshape(len(masks), nb * k)
     code = np.full(nb, np.iinfo(np.int64).max)
     # the positions are taken in chunks of about PAIR_CHUNK pairs
     ends = np.cumsum(depth)
@@ -164,9 +164,6 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
         later = np.repeat(at[lo:hi], t)
         back = np.arange(1, len(later) + 1) - np.repeat(np.cumsum(t) - t, t)
         early, late = order[later - back], order[later]
-        if window > 64 - ROW_BITS:     # the sort saw only part of the window
-            agree = (keys.take(early, axis=1) == keys.take(late, axis=1)).all(axis=0)
-            early, late = early[agree], late[agree]
         pair = columns.take(early, axis=1) ^ columns.take(late, axis=1)
         pw = np.bitwise_count(pair).sum(axis=0, dtype=np.int64)
         s = late // k
@@ -191,7 +188,6 @@ def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> t
 
 def chain_search(
     g: GeneratorMatrix,
-    params: SearchParams,
     chain_seed: int,
     iterations: int,
     deadline: float | None,
@@ -204,11 +200,11 @@ def chain_search(
     Only the redundancy parts of the systematic rows are kept.  The chain
     starts from a shuffled column order's systematic form.  Each iteration
     makes one single-column swap and copies the information set it leaves
-    into a batch, which is weighed as _weigh says when it fills and when the
-    loop ends; the chain keeps the first candidate strictly lighter than the
-    best so far, in iteration order.  The deadline is checked from the
-    second iteration on, so a chain whose setup outlasts its time slice still
-    weighs one set.
+    into a batch, which is weighed as _weigh says, on the fixed WINDOW-bit
+    Stern window, when it fills and when the loop ends; the chain keeps the
+    first candidate strictly lighter than the best so far, in iteration
+    order.  The deadline is checked from the second iteration on, so a chain
+    whose setup outlasts its time slice still weighs one set.
 
     The chain is split over up to forks.usable_cpus() processes, P in all.
     The systematic form is built once; then each process replays the same
@@ -245,7 +241,7 @@ def chain_search(
 
         def weigh_batch() -> None:
             nonlocal best_w
-            for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], params.window)):
+            for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], WINDOW)):
                 if best_w is None or w < best_w:
                     best_w = w
                     records.append((its[slot], w, _word(sets[:, slot], perms[slot], rows, n)))

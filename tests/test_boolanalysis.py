@@ -206,9 +206,7 @@ class TestBitPlaneKernel:
 
         monkeypatch.setattr(boolanalysis, "_mc_chunk", spy)
         monte_carlo_local_collision(20, 100, seed=0)
-        monte_carlo_local_collision(20, 100, seed=0, disturbance=0)
-        assert [s.tolist() for s in schedules] == [MSB_SCHEDULE.tolist(),
-                                                   ZERO_SCHEDULE.tolist()]
+        assert [s.tolist() for s in schedules] == [MSB_SCHEDULE.tolist()]
 
 
 class TestMonteCarlo:
@@ -273,9 +271,20 @@ class TestMonteCarlo:
         assert len(forks) == 1 and callers == [os.getpid()]
         assert_reaped(forks)
 
-    def test_workers_without_trials_contribute_nothing(self):
-        mc = monte_carlo_local_collision(20, 10, seed=2, workers=16, disturbance=0)
-        assert (mc.successes, mc.trials) == (10, 10)
+    def test_workers_without_trials_contribute_nothing(self, monkeypatch):
+        # ten streams of one trial each; the other six draw nothing
+        ones = boolanalysis._mc_streams(20, MSB_SCHEDULE, 2, [(w, 1) for w in range(10)])
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
+        sizes, chunk = [], boolanalysis._mc_chunk
+
+        def spy(rng, nt, *args):
+            sizes.append(nt)
+            return chunk(rng, nt, *args)
+
+        monkeypatch.setattr(boolanalysis, "_mc_chunk", spy)
+        mc = monte_carlo_local_collision(20, 10, seed=2, workers=16)
+        assert sizes == [1] * 10
+        assert (mc.successes, mc.trials) == (ones, 10)
 
     def test_worker_failure_propagates(self, monkeypatch, forks, chunks):
         chunks(in_child=self.raising("worker failed"))
@@ -302,8 +311,7 @@ class TestMonteCarlo:
         assert_reaped(forks)
 
     def test_zero_disturbance_always_collides(self):
-        mc = monte_carlo_local_collision(20, 2048, seed=0, disturbance=0)
-        assert mc.rate == 1.0
+        assert boolanalysis._mc_streams(20, ZERO_SCHEDULE, 0, [(0, 2048)]) == 2048
 
     def test_observed_rate_in_plausible_band(self):
         # the independence model says 2^-9; the exact rate is 7/1024 = 2^-7.19
@@ -326,6 +334,12 @@ class TestFirstSixteen:
     def test_zero_disturbance_is_noop(self, rng):
         m = [rng.getrandbits(32) for _ in range(16)]
         assert list(satisfy_first16(m, [0] * 64)) == m
+
+    def test_rejects_negative_seed(self, rng):
+        # random.Random seeds from |seed|, so seed -5 drew seed 5's candidates
+        m = [rng.getrandbits(32) for _ in range(16)]
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            satisfy_first16(m, [0] * 64, seed=-5)
 
     def test_canonical_pattern_is_unsatisfiable(self, rng):
         (delta,) = solve_disturbance_kernel()

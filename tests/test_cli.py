@@ -36,7 +36,7 @@ def test_census_payload(capsys):
     assert code == 0
     assert report["result"] == {"min": 110, "max": 297}
     assert report["command"] == "census"
-    assert report["seed"] == 0
+    assert report["seed"] is None
     assert "110" in err
 
 
@@ -111,6 +111,8 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("search", "--steps", "20", "--iterations", "5", "--algorithm", "stern"),
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5",
      "--algorithm", "leon"),
+    # the census draws nothing, so it takes no seed
+    ("census", "--seed", "1"),
 ], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
         "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
@@ -119,7 +121,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
         "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
         "fig2-range-empty", "collide-strict", "search-seed-negative", "collide-seed-negative",
-        "search-algorithm", "fig2-algorithm"])
+        "search-algorithm", "fig2-algorithm", "census-seed"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
@@ -143,6 +145,7 @@ NAMED_IN_ERROR = {
      "--algorithm", "leon"): "unrecognized arguments: --algorithm",
     ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
+    ("census", "--seed", "1"): "unrecognized arguments: --seed 1",
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
 }
@@ -184,7 +187,7 @@ def test_collide_relaxed_kernel_fails(capsys):
 
 
 def test_seed_random_records_integer(capsys):
-    code, report, _ = run(capsys, "census", "--seed", "random")
+    code, report, _ = run(capsys, "collide", "--count", "1", "--seed", "random")
     assert code == 0
     assert isinstance(report["seed"], int) and 0 <= report["seed"] < 2 ** 32
 
@@ -241,6 +244,18 @@ def test_extend_word(capsys, table5_path):
     assert code == 0
     assert report["result"]["weight"] == 362
     assert report["result"]["from_steps"] == 40
+
+
+def test_extend_word_roundtrip_through_file(capsys, table5_path, tmp_path):
+    out = tmp_path / "word64.hex"
+    code, report, _ = run(capsys, "extend-word", "--file", str(table5_path),
+                          "--steps", "64", "--out", str(out))
+    assert code == 0
+    assert out.read_text().startswith("# extended from 40 to 64 steps\n")
+    code2, report2, _ = run(capsys, "verify-word", "--file", str(out), "--steps", "64")
+    assert code2 == 0
+    assert report2["result"]["order"] == "as-given"
+    assert report2["result"]["weight"] == report["result"]["weight"] == 362
 
 
 def test_local_collision_mc_payload(capsys):
@@ -313,7 +328,6 @@ def test_variant_run_payload(capsys):
     ("collide", "--count", "3"),
     ("search", "--steps", "20", "--iterations", "50"),
     ("local-collision-mc", "--trials", "4096", "--workers", "2"),
-    ("census", "--steps", "20"),
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "20"),
 ], ids=lambda argv: argv[0])
 def test_seeded_runs_reproduce(capsys, argv):
@@ -397,6 +411,21 @@ LOADS = [
     (("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "10"),
      [*GF2, *ISD]),
 ]
+
+
+SEEDED = {"collide", "local-collision-mc", "search", "fig2"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in LOADS], ids=lambda argv: argv[0])
+def test_only_commands_that_draw_take_a_seed(capsys, argv):
+    # the other nine report a null seed and refuse --seed
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report["seed"] == (0 if argv[0] in SEEDED else None)
+    code, report, err = run(capsys, *argv, "--seed", "0")
+    if argv[0] in SEEDED:
+        assert code == 0 and report["seed"] == 0
+    else:
+        assert (code, report, err) == (2, None, "error: unrecognized arguments: --seed 0\n")
 
 
 @pytest.mark.parametrize("argv", [argv for argv, layers in LOADS if "numpy" not in layers],

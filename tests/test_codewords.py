@@ -23,6 +23,7 @@ from linsha.codewords import (
     single_bit_census,
     sweep_csv,
     verify_codeword,
+    write_codeword_file,
     zero_band_report,
 )
 from linsha.primitives import ExpansionKind, expand, seq_weight
@@ -39,9 +40,10 @@ def word_hash(words) -> str:
 
 # (kind, steps, search parameters, weight, found_at_iteration, word hash),
 # recorded from the big-integer search that the bit-packed one replaced, and
-# (from "n30-window130" on) from the row-at-a-time packed chain that the
-# batched one replaced; a faster search must find the same words at the same
-# iterations
+# (from "n40-window0" on) from the row-at-a-time packed chain that the
+# batched one replaced, or (from "n30-seed3" on) from the batched chain; a
+# faster search must find the same words at the same iterations.  A "window"
+# entry is the Stern window the pin runs at in place of isd.WINDOW.
 PINNED_SEARCHES = [
     pytest.param(XOR, 40, dict(iterations=1000, seed=0), 316, 702, "01d8b95e2d026def",
                  id="n40-seed0"),
@@ -53,19 +55,27 @@ PINNED_SEARCHES = [
                  id="n42-seed3"),
     pytest.param(XOR, 22, dict(iterations=40, seed=0, bootstrap_lengths=(20,)), 1, None,
                  "6704b4e02bf11d9f", id="n22-bootstrap20"),
-    # a three-word window whose pairs beat every single row (the lightest weighs 159)
-    pytest.param(XOR, 30, dict(iterations=300, seed=3, window=130), 9, 240,
-                 "d59f8675b821bca7", id="n30-window130"),
     # every pair of rows shares the empty window: C(512, 2) pairs per set
     pytest.param(XOR, 40, dict(iterations=20, seed=0, window=0), 303, 5,
                  "9221fa2fb9d8a760", id="n40-window0"),
     pytest.param(XOR, 80, dict(iterations=300, seed=0, window=3), 906, 112,
                  "73b59d763a064ce0", id="n80-window3"),
-    pytest.param(SHA1_XOR, 64, dict(iterations=300, seed=3, window=70), 30, 45,
-                 "3799d40a4455fa4f", id="sha1-n64-window70"),
-    pytest.param(SHA1_XOR, 80, dict(iterations=300, seed=3, window=70), 48, 28,
-                 "bafceb03be85f7a3", id="sha1-n80-window70"),
+    pytest.param(XOR, 30, dict(iterations=300, seed=3), 9, 116, "6f60cfaa0e739991",
+                 id="n30-seed3"),
+    pytest.param(XOR, 80, dict(iterations=300, seed=0), 920, 248, "85e47838753c89bb",
+                 id="n80-seed0"),
+    pytest.param(SHA1_XOR, 64, dict(iterations=300, seed=3), 30, 0, "817332f4bfec34f4",
+                 id="sha1-n64-seed3"),
+    pytest.param(SHA1_XOR, 80, dict(iterations=300, seed=3), 44, 67, "0857af19adc29a60",
+                 id="sha1-n80-seed3"),
 ]
+
+
+def pinned_search(monkeypatch, kind, steps, params):
+    """low_weight_search at a pin's parameters and Stern window."""
+    params = dict(params)
+    monkeypatch.setattr(isd, "WINDOW", params.pop("window", isd.WINDOW))
+    return low_weight_search(build_generator(kind, steps), SearchParams(**params))
 
 
 class TestGenerator:
@@ -156,7 +166,9 @@ class TestExtension:
 class TestWordFiles:
     def test_roundtrip(self, tmp_path, table5_words):
         path = tmp_path / "word.hex"
-        path.write_text("# comment line\n" + "\n".join(f"{w:08x}" for w in table5_words) + "\n")
+        write_codeword_file(str(path), table5_words, ["comment line"])
+        assert path.read_text() == (
+            "# comment line\n" + "\n".join(f"{w:08x}" for w in table5_words) + "\n")
         assert load_codeword_file(str(path)) == list(table5_words)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -209,36 +221,43 @@ def reference_weigh(sets, window):
     return out
 
 
+def clustered_sets(rng):
+    """A (3, 4, 512) batch whose rows are each one of 8 bases (7 dense, one
+    of weight about 12) plus noise of weight about 3, so pairs on one base
+    are light, single rows on the light base about as light, and many
+    candidates tie."""
+    def sparse(shape, ands):
+        out = rng.integers(0, 1 << 64, shape, dtype=np.uint64)
+        for _ in range(ands):
+            out &= rng.integers(0, 1 << 64, shape, dtype=np.uint64)
+        return out
+
+    bases = sparse((3, 4, 8), 0)
+    bases[:, :, 0] = sparse((3, 4), 3)
+    return bases[:, :, rng.integers(0, 8, 512)] ^ sparse((3, 4, 512), 5)
+
+
 class TestBatchedWeighing:
-    @pytest.mark.parametrize("window", [0, 1, 5, 12, 55, 56, 60, 64, 70, 130, 400])
+    @pytest.mark.parametrize("window", [0, 1, 5, 12, 55])
     def test_matches_one_set_at_a_time(self, window):
-        # each row is one of 8 bases (7 dense, one of weight about 12) plus
-        # noise of weight about 3, so pairs on one base are light, single
-        # rows on the light base about as light, and many candidates tie;
-        # windows past 55 bits are longer than the sort key, and 400 is
-        # longer than the rows
-        rng = np.random.default_rng(window)
-
-        def sparse(shape, ands):
-            out = rng.integers(0, 1 << 64, shape, dtype=np.uint64)
-            for _ in range(ands):
-                out &= rng.integers(0, 1 << 64, shape, dtype=np.uint64)
-            return out
-
-        bases = sparse((3, 4, 8), 0)
-        bases[:, :, 0] = sparse((3, 4), 3)
-        sets = bases[:, :, rng.integers(0, 8, 512)] ^ sparse((3, 4, 512), 5)
+        # 55 bits fill a sort key above the row index
+        sets = clustered_sets(np.random.default_rng(window))
         assert isd._weigh(sets, window) == reference_weigh(sets, window)
 
-    @pytest.mark.parametrize("window, expected", [
-        (12, (3, (30, 40))), (56, (3, (30, 40))),
-        (60, (4, (5,))), (64, (4, (5,))), (70, (4, (5,))), (130, (4, (5,))),
-    ])
+    def test_bucket_of_many_pair_chunks(self):
+        # at the chains' window, one set's first 250 rows share their window
+        # bits: 31125 pairs in one bucket, more than three PAIR_CHUNK chunks
+        sets = clustered_sets(np.random.default_rng(200))
+        sets[0, 1, :250] &= ~np.uint64((1 << isd.WINDOW) - 1)
+        assert 250 * 249 // 2 > 3 * isd.PAIR_CHUNK
+        assert isd._weigh(sets, isd.WINDOW) == reference_weigh(sets, isd.WINDOW)
+
+    @pytest.mark.parametrize("window, expected", [(12, (3, (30, 40))), (55, (3, (30, 40)))])
     def test_ties_and_long_windows(self, window, expected):
         # dense random rows, except: row 5 weighs 3 (a candidate of 4); rows
         # 10 and 20 differ in bits 150 and 160 only (a pair of 4, which the
-        # row beats); rows 30 and 40 differ in bit 58 only (a pair of 3, but
-        # only for windows of 58 bits or less)
+        # row beats); rows 30 and 40 differ in bit 58 only, past the longest
+        # window, so they pair at every window (a pair of 3)
         rng = np.random.default_rng(1)
         rows = [int.from_bytes(rng.bytes(24), "little") for _ in range(512)]
         rows[5] = 1 << 3 | 1 << 77 | 1 << 190
@@ -251,8 +270,8 @@ class TestBatchedWeighing:
 
 class TestSearch:
     @pytest.mark.parametrize("kind, steps, params, weight, found_at, digest", PINNED_SEARCHES)
-    def test_pinned_search(self, kind, steps, params, weight, found_at, digest):
-        res = low_weight_search(build_generator(kind, steps), SearchParams(**params))
+    def test_pinned_search(self, monkeypatch, kind, steps, params, weight, found_at, digest):
+        res = pinned_search(monkeypatch, kind, steps, params)
         assert (res.weight, res.found_at_iteration, word_hash(res.words)) == (
             weight, found_at, digest)
 
@@ -341,11 +360,14 @@ class TestSearch:
             SearchParams()
         with pytest.raises(ValueError):
             SearchParams(iterations=0)
-        with pytest.raises(ValueError, match="window"):
-            SearchParams(iterations=5, window=-1)
         for budget in (0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="time budget"):
                 SearchParams(iterations=5, budget_secs=budget)
+
+    def test_rejects_negative_seed(self):
+        # random.Random seeds from |seed|, so seed -5 ran seed 5's chain
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            SearchParams(iterations=50, seed=-5)
 
     def test_replace_checks_like_the_constructor(self):
         params = SearchParams(iterations=5, seed=3, bootstrap_lengths=(20,))
@@ -449,8 +471,8 @@ class TestSplit:
                      (1, None, "6704b4e02bf11d9f", 40), id="n22-bootstrap20"),
         pytest.param(XOR, 40, dict(iterations=20, seed=0, window=0),
                      (303, 5, "9221fa2fb9d8a760", 20), id="n40-window0"),
-        pytest.param(XOR, 30, dict(iterations=300, seed=3, window=130),
-                     (9, 240, "d59f8675b821bca7", 300), id="n30-window130"),
+        pytest.param(XOR, 30, dict(iterations=300, seed=3),
+                     (9, 116, "6f60cfaa0e739991", 300), id="n30-seed3"),
         pytest.param(SHA1_XOR, 17, dict(iterations=30, seed=0),
                      (1, 0, "cd0dd3ede3ae05b8", 30), id="sha1-n17"),
     ]
@@ -460,7 +482,7 @@ class TestSplit:
     def test_same_result_on_any_cpu_count(self, monkeypatch, forks, cpus, kind, steps, params,
                                           expected):
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
-        res = low_weight_search(build_generator(kind, steps), SearchParams(**params))
+        res = pinned_search(monkeypatch, kind, steps, params)
         assert (res.weight, res.found_at_iteration, word_hash(res.words),
                 res.iterations_run) == expected
         # one process per CPU at most, and no more processes than batches
@@ -488,11 +510,11 @@ class TestSplit:
         params = SearchParams(iterations=1, seed=0)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
         monkeypatch.setattr(isd, "time", Clock)
-        split = isd.chain_search(g, params, 0, 1 << 62, 300, None)
+        split = isd.chain_search(g, 0, 1 << 62, 300, None)
         assert split[3] == 151 and len(forks) == cpus - 1
         assert_reaped(forks)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
-        assert split == isd.chain_search(g, params, 0, 151, None, None)
+        assert split == isd.chain_search(g, 0, 151, None, None)
 
     def test_caller_failure_still_reaps_children(self, monkeypatch, forks):
         caller, weigh = os.getpid(), isd._weigh
