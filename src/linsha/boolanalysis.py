@@ -12,6 +12,11 @@ Bit 31 is also why the Monte Carlo is cheap: adding the MSB is XORing it,
 bit 31 never leaves bit 31 (Chabaud and Joux, CRYPTO 1998).  The paired run
 of every trial is the first run XOR an 8-bit pattern, one bit per register;
 the Monte Carlo steps the first run alone and carries that pattern.
+
+In that plane the firing conditions of steps 0..15, which message
+modification removes (Wang, Yin and Yu, CRYPTO 2005), are affine GF(2)
+equations in bit 31 of a and e, so one elimination either finds them
+contradictory or leaves each message word to be solved for in closed form.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ import io
 import math
 from fractions import Fraction
 from functools import lru_cache
-from random import Random
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import forks
 from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
-from .disturbance import build_characteristic, single_disturbance_table
+from .disturbance import build_characteristic, superpose
 from .ringalg import build_E
 from .variants import make_variant
 
@@ -122,29 +126,17 @@ def msb_disturbance(delta: Sequence[int]) -> tuple[tuple[int, ...], str]:
     return expanded, indicator
 
 
-@lru_cache(maxsize=1)
-def _offset_registers() -> dict[int, tuple[int, ...]]:
-    """Registers carrying an odd multiple of the disturbance at each offset.
+def _designed_diffs(dstar: Sequence[int]) -> tuple[RegisterState, ...]:
+    """Designed register differences entering each step of an MSB-only dstar.
 
-    Derived from the exact linear propagation of one corrected disturbance:
-    the registers whose difference is an odd multiple are the ones that still
-    see the difference in the MSB plane (even multiples of 2^31 vanish).
+    Row s of the add-linear table of dstar is the designed difference entering
+    step s.  It sums odd and even multiples of the MSB; the even ones vanish,
+    so every entry is exactly 0 or the MSB.
     """
-    rows = single_disturbance_table()
-    return {k: tuple(r for r in range(8) if rows[k][r] & 1) for k in range(1, 9)}
-
-
-def _designed_flags(dstar: Sequence[int], s: int) -> list[int]:
-    """Per register a..h, 1 when its designed difference entering step s is
-    the MSB and 0 when it is zero."""
-    regs_at = _offset_registers()
-    flags = [0] * 8
-    for k in range(1, 9):
-        j = s - k
-        if 0 <= j < len(dstar) and dstar[j]:
-            for r in regs_at[k]:
-                flags[r] ^= 1
-    return flags
+    words = list(dstar)
+    if any(w not in (0, MSB) for w in words):
+        raise ValueError("activity derivation expects an MSB-only disturbance")
+    return build_characteristic(words).register_diffs
 
 
 class ActivityRow(NamedTuple):
@@ -161,18 +153,16 @@ class ActivityRow(NamedTuple):
 def derive_activity(dstar: Sequence[int]) -> list[ActivityRow]:
     """Per-step Maj/Ch input-difference patterns and condition cost.
 
-    dstar must be MSB-only.  Superposition is XOR because every difference
-    lives at bit 31; a function costs one condition when its pattern is active
-    unless enumeration shows the output difference fires with probability 1.
+    dstar must be MSB-only.  The patterns are the designed differences of
+    a, b, c (Maj) and e, f, g (Ch) entering each step; a function costs one
+    condition when its pattern is active unless enumeration shows the output
+    difference fires with probability 1.
     """
-    words = list(dstar)
-    if any(w not in (0, MSB) for w in words):
-        raise ValueError("activity derivation expects an MSB-only disturbance")
     # the table holds only active patterns; those that fire surely cost nothing
     costly = {(e.func, e.input_diff): e for e in boolean_diff_table() if e.probability != 1}
     rows = []
-    for s in range(len(words)):
-        flags = _designed_flags(words, s)
+    for s, diffs in enumerate(_designed_diffs(dstar)[:-1]):
+        flags = [d >> 31 for d in diffs]
         maj_pat = (flags[0], flags[1], flags[2])
         ch_pat = (flags[4], flags[5], flags[6])
         conditions = tuple(costly[key] for key in (("maj", maj_pat), ("ch", ch_pat))
@@ -352,12 +342,13 @@ def monte_carlo_local_collision(
 
 
 class FirstStepsError(RuntimeError):
-    """A step's condition cannot be met by adjusting that step's message word.
+    """A step's condition cannot be met by adjusting the message words.
 
     contradicts names, as (step, func, condition), the earlier conditions that
-    together with this one have no common solution over bit 31 of a and e; it
-    is empty when the condition is consistent with them but constrains
-    registers fixed in earlier steps.
+    together with this one have no common solution over bit 31 of a and e.  It
+    is empty when they are consistent but registers fixed in earlier steps
+    zero the low 31 bits of e - a, so bit 31 of e follows bit 31 of a
+    whatever the word.
     """
 
     def __init__(
@@ -382,12 +373,6 @@ class FirstStepsError(RuntimeError):
         self.pattern = pattern
         self.condition = condition
         self.contradicts = tuple(contradicts)
-
-
-def _conditions_by_step(
-    dstar: Sequence[int], upto: int
-) -> dict[int, tuple[BooleanDiffEntry, ...]]:
-    return {row.step: row.conditions for row in derive_activity(dstar)[:upto] if row.conditions}
 
 
 def _conditions_hold(state: RegisterState, entries: Sequence[BooleanDiffEntry]) -> bool:
@@ -420,112 +405,87 @@ def _bit31_equation(s: int, entry: BooleanDiffEntry) -> tuple[int, int]:
     return mask, rhs
 
 
-def _contradiction(
-    earlier: Sequence[tuple[int, BooleanDiffEntry]], s: int, entry: BooleanDiffEntry
-) -> list[tuple[int, BooleanDiffEntry]] | None:
-    """Earlier conditions that with entry at step s are inconsistent, or None.
+def satisfy_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[int, ...]:
+    """Adjust message words 0..14 so every step-0..15 firing condition holds.
 
-    Gaussian elimination over GF(2) that tracks which conditions each pivot
-    row combines; entry is inconsistent when it reduces to 0 = 1.
+    Exact, and draws nothing.  One GF(2) elimination in step order brings the
+    equations to echelon form, each led by its latest variable, and raises the
+    first that reduces to 0 = 1 with the earlier conditions it combines.  A
+    forward pass then takes words 0..14 in order: a bit that leads an
+    equation gets the value the equation gives it, any other keeps its value,
+    and a word is replaced only when its two bits are not the wanted ones.
+
+    The replacement is closed-form.  Word t adds w to both a = p and
+    e = p + gap of the state step t gives with w = 0.  With a = 2^31 want_a + x,
+    bit 31 of e is want_a ^ (gap >> 31) ^ [x + (gap mod 2^31) >= 2^31], so the
+    wanted carry confines x to one interval; an x outside it moves in, keeping
+    its value modulo the interval's size, and a free bit of e keeps the carry.
+    The interval is empty only when gap mod 2^31 is 0 and a carry is wanted.
     """
-    rows = [*earlier, (s, entry)]
-    pivots: dict[int, tuple[int, int, int]] = {}     # leading bit -> (mask, rhs, sources)
-    for i, (t, e) in enumerate(rows):
-        mask, rhs = _bit31_equation(t, e)
+    rows = derive_activity(dstar)[:16]
+    conditions = [(r.step, e) for r in rows for e in r.conditions]
+    pivots: dict[int, tuple[int, int, int]] = {}     # leading variable -> (mask, rhs, sources)
+    for i, (s, entry) in enumerate(conditions):
+        mask, rhs = _bit31_equation(s, entry)
         sources = 1 << i
         while mask and mask.bit_length() - 1 in pivots:
             pm, pr, ps = pivots[mask.bit_length() - 1]
             mask, rhs, sources = mask ^ pm, rhs ^ pr, sources ^ ps
         if mask:
             pivots[mask.bit_length() - 1] = (mask, rhs, sources)
-    # the loop ends on entry's row, fully reduced
-    if mask or not rhs:
-        return None
-    return [rows[j] for j in range(len(earlier)) if sources >> j & 1]
+        elif rhs:
+            clash = [(t, e.func, e.condition) for j, (t, e) in enumerate(conditions[:i])
+                     if sources >> j & 1]
+            raise FirstStepsError(s, entry.func, entry.input_diff, entry.condition, clash)
 
+    def wanted(var: int, keep: int) -> int:
+        if var not in pivots:
+            return keep
+        mask, rhs, _ = pivots[var]
+        return rhs ^ (mask & values).bit_count() & 1
 
-def _unreachable(
-    conditions: dict[int, tuple[BooleanDiffEntry, ...]], s: int, state: RegisterState
-) -> FirstStepsError:
-    """The error for step s, whose conditions no choice of word s-1 met.
-
-    Prefers a condition that contradicts earlier ones; otherwise names a
-    violated one that leaves out a (Maj) or e (Ch) entering step s, the only
-    registers word s-1 sets.
-    """
-    entries = conditions[s]
-    earlier = [(t, e) for t in sorted(conditions) if t < s for e in conditions[t]]
-    for entry in entries:
-        clash = _contradiction(earlier, s, entry)
-        if clash is not None:
-            return FirstStepsError(s, entry.func, entry.input_diff, entry.condition or "none",
-                                   [(t, e.func, e.condition or "none") for t, e in clash])
-    culprit = next((e for e in entries if not e.mask[0] and not _conditions_hold(state, (e,))),
-                   entries[0])
-    return FirstStepsError(s, culprit.func, culprit.input_diff, culprit.condition or "none")
-
-
-def satisfy_first16(
-    m: Sequence[int], dstar: Sequence[int], seed: int = 0
-) -> tuple[int, ...]:
-    """Adjust message words so every step-0..15 firing condition holds.
-
-    The conditions are single-bit affine constraints at bit 31 of the register
-    state entering each step; the state entering step s is shaped by message
-    word s-1, which is the only knob this pass turns.  Greedy and in step
-    order: a violated condition triggers a deterministic candidate sweep over
-    adjustments of that word.  A condition the sweep cannot meet is reported
-    as a hard failure, naming the earlier conditions it contradicts when
-    GF(2) elimination over bit 31 of a and e finds them.  The seed, which
-    draws the sweep's random candidates, must be non-negative.
-    """
-    if seed < 0:
-        # random.Random seeds from |seed|, so -5 would repeat 5's candidates
-        raise ValueError(f"seed must be non-negative, got {seed}")
     config = make_variant("no_sbox")
     words = list(as_block(m))
-    conditions = _conditions_by_step(dstar, 16)
-    rng = Random(seed)
-
-    def run_to(n: int) -> RegisterState:
-        state = FIPS_IV
-        for t in range(n):
-            state = step(state, words[t], K[t], config)
-        return state
-
-    for s in range(16):
-        entries = conditions.get(s)
-        if not entries:
-            continue
-        state = run_to(s)
-        if _conditions_hold(state, entries):
-            continue
-        # step 0 has no conditions: nothing is disturbed before it
-        before = run_to(s - 1)
-        candidates = [(words[s - 1] + (j << 26)) & M32 for j in range(1, 64)]
-        candidates += [rng.getrandbits(32) for _ in range(256)]
-        for cand in candidates:
-            trial = step(before, cand, K[s - 1], config)
-            if _conditions_hold(trial, entries):
-                words[s - 1] = cand
-                break
-        else:
-            raise _unreachable(conditions, s, state)
+    state, values = FIPS_IV, 0          # values: the variables set so far
+    for t in range(len(rows) - 1):
+        base = step(state, 0, K[t], config)
+        gap = (base.e - base.a) & M32
+        low = gap & (MSB - 1)
+        a = (base.a + words[t]) & M32
+        x = a & (MSB - 1)
+        carry = (x + low) >> 31
+        want_a = wanted(2 * t, a >> 31)
+        values |= want_a << 2 * t
+        want_e = wanted(2 * t + 1, want_a ^ gap >> 31 ^ carry)
+        values |= want_e << 2 * t + 1
+        need = want_a ^ want_e ^ gap >> 31         # the carry the wanted bits need
+        if need != carry:
+            lo, size = (MSB - low, low) if need else (0, MSB - low)
+            if not size:
+                # only the equation led by bit 31 of e can want a carry
+                s, entry = conditions[pivots[2 * t + 1][2].bit_length() - 1]
+                raise FirstStepsError(s, entry.func, entry.input_diff, entry.condition)
+            x = lo + x % size
+        words[t] = ((want_a << 31 | x) - base.a) & M32
+        state = step(state, words[t], K[t], config)
+        if not _conditions_hold(state, rows[t + 1].conditions):
+            raise AssertionError(f"step {t + 1}'s conditions fail on the modified message")
     return tuple(words)
 
 
 def check_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[bool, int | None]:
     """Does the pair (m, m + characteristic) follow the designed difference
-    schedule through steps 0..15?  Returns (ok, first failing step)."""
+    schedule through steps 0..15?  Returns (ok, first failing step).
+
+    dstar must be MSB-only, as for derive_activity."""
+    designed = _designed_diffs(dstar)
     config = make_variant("no_sbox")
-    char = build_characteristic(list(dstar), MSB_CORRECTION_COEFFS)
     words = list(as_block(m))
-    words2 = [(w + d) & M32 for w, d in zip(words, char.expanded_diff[:16])]
+    words2 = [(w + d) & M32 for w, d in zip(words, superpose(dstar, MSB_CORRECTION_COEFFS)[:16])]
     state, state2 = FIPS_IV, FIPS_IV
     for s in range(16):
         state = step(state, words[s], K[s], config)
         state2 = step(state2, words2[s], K[s], config)
-        actual = [(x2 - x) & M32 for x, x2 in zip(state, state2)]
-        if actual != [MSB * f for f in _designed_flags(dstar, s + 1)]:
+        if state2.sub(state) != designed[s + 1]:
             return False, s
     return True, None

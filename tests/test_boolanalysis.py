@@ -1,6 +1,8 @@
 """Differential behaviour of Maj/Ch and the no-S-box variant analysis."""
 
+import hashlib
 import os
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from linsha.boolanalysis import (
     msb_disturbance,
     satisfy_first16,
 )
-from linsha.primitives import K, RegisterState, ch, maj, step
+from linsha.primitives import FIPS_IV, K, M32, RegisterState, ch, maj, step
 from linsha.ringalg import solve_disturbance_kernel
 from linsha.variants import make_variant
 from conftest import KERNEL_GENERATOR, assert_reaped
@@ -28,6 +30,11 @@ MSB = 0x80000000
 
 # frozen 64-step indicator of the canonical MSB disturbance pattern
 MSB_STRING = "1000000001101011101110011010011000000111001011111011100000000000"
+
+
+def msb_pattern(*steps):
+    """64 words with the MSB at the given steps and zero elsewhere."""
+    return [MSB if s in steps else 0 for s in range(64)]
 
 
 def brute_force_flip_count(func, dx, dy, dz):
@@ -126,6 +133,11 @@ class TestActivity:
         lines = activity_csv(rows).strip().splitlines()
         assert lines[0] == "step,maj,ch,e"
         assert len(lines) == 65
+
+    def test_csv_pinned(self):
+        # table3's per-step table, not only its sums
+        csv = activity_csv(derive_activity(self.dstar))
+        assert hashlib.sha256(csv.encode()).hexdigest()[:16] == "c2ed48e443dd2277"
 
     def test_isolated_disturbance_costs_nine(self):
         assert isolated_condition_count(20) == 9
@@ -335,11 +347,80 @@ class TestFirstSixteen:
         m = [rng.getrandbits(32) for _ in range(16)]
         assert list(satisfy_first16(m, [0] * 64)) == m
 
-    def test_rejects_negative_seed(self, rng):
-        # random.Random seeds from |seed|, so seed -5 drew seed 5's candidates
+    @pytest.mark.parametrize("steps", [(11,), (12,), (13,), (14,), (11, 15)],
+                             ids=lambda steps: "-".join(map(str, steps)))
+    def test_meets_every_condition_it_can(self, steps):
+        # each of these has consistent conditions, so every message is repaired
+        dstar = msb_pattern(*steps)
+        rng = random.Random(16)
+        for _ in range(50):
+            m = [rng.getrandbits(32) for _ in range(16)]
+            assert check_first16(satisfy_first16(m, dstar), dstar) == (True, None)
+
+    @pytest.mark.parametrize("i", range(6, 11))
+    def test_contradiction_does_not_depend_on_the_message(self, i):
+        # the Ch condition five steps after the disturbance contradicts two
+        # earlier ones, whatever the message
+        dstar = msb_pattern(i)
+        rng = random.Random(i)
+        for _ in range(20):
+            m = [rng.getrandbits(32) for _ in range(16)]
+            with pytest.raises(FirstStepsError) as exc_info:
+                satisfy_first16(m, dstar)
+            err = exc_info.value
+            assert (err.step_index, err.func, err.condition) == (i + 5, "ch", "y^z=0")
+            assert err.contradicts
+
+    def test_word_that_cannot_split_a_and_e_names_no_contradiction(self):
+        # step 15's conditions want bit 31 of a and of e entering step 14 to
+        # differ from those entering step 13.  Words 11 and 12 are built so
+        # that the low 31 bits of e - a are zero for word 13, which then moves
+        # bits 31 of a and e together: the split is possible only when their
+        # XOR already equals bit 31 of e - a.
+        dstar = msb_pattern(14)
+        config = make_variant("no_sbox")
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(40):
+            m = [rng.getrandbits(32) for _ in range(16)]
+            state = FIPS_IV
+            for t in range(11):
+                state = step(state, m[t], K[t], config)
+            # b ^ c entering step 13 is all ones in the low 31 bits, so
+            # a + Maj(a, b, c) is 2a there, and a = d / 2 zeroes e - a
+            m[11] = ((state.a ^ (MSB - 1)) - step(state, 0, K[11], config).a) & M32
+            state = step(state, m[11], K[11], config)
+            if state.c & 1:
+                continue
+            m[12] = ((state.c & (MSB - 1)) >> 1) - step(state, 0, K[12], config).a & M32
+            state = step(state, m[12], K[12], config)
+            base = step(state, 0, K[13], config)
+            gap = (base.e - base.a) & M32
+            assert gap & (MSB - 1) == 0
+            splittable = (state.a ^ state.e ^ gap) >> 31 == 0
+            outcomes.add(splittable)
+            if splittable:
+                assert check_first16(satisfy_first16(m, dstar), dstar) == (True, None)
+                continue
+            with pytest.raises(FirstStepsError,
+                               match="constrains registers fixed in earlier steps") as exc_info:
+                satisfy_first16(m, dstar)
+            err = exc_info.value
+            assert (err.step_index, err.func, err.condition, err.contradicts) == (
+                15, "ch", "y^z=1", ())
+        assert outcomes == {True, False}
+
+    def test_repaired_message_comes_back_unchanged(self, rng):
+        dstar = msb_pattern(11, 15)
         m = [rng.getrandbits(32) for _ in range(16)]
-        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
-            satisfy_first16(m, [0] * 64, seed=-5)
+        fixed = satisfy_first16(m, dstar)
+        assert satisfy_first16(fixed, dstar) == fixed
+
+    def test_check_rejects_a_pattern_outside_the_msb_plane(self, rng):
+        m = [rng.getrandbits(32) for _ in range(16)]
+        for dstar in ([1] + [0] * 63, [0x12345678] * 64):
+            with pytest.raises(ValueError, match="MSB-only"):
+                check_first16(m, dstar)
 
     def test_canonical_pattern_is_unsatisfiable(self, rng):
         (delta,) = solve_disturbance_kernel()
