@@ -28,9 +28,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import forks
-from .primitives import FIPS_IV, K, M32, RegisterState, as_block, ch, maj, step
+from .primitives import (FIPS_IV, K, M32, ExpansionKind, RegisterState, as_block, ch, expand, maj,
+                         step)
 from .disturbance import build_characteristic, superpose
-from .ringalg import build_E
 from .variants import make_variant
 
 if TYPE_CHECKING:
@@ -118,7 +118,7 @@ def msb_disturbance(delta: Sequence[int]) -> tuple[tuple[int, ...], str]:
     raised as a hard error.
     """
     scaled = [(8 * x) & M32 for x in as_block(delta)]
-    expanded = build_E().vec(scaled)
+    expanded = tuple(expand(scaled, ExpansionKind.SHA256_ADD_ID_SIGMA, 64))
     bad = [(i, w) for i, w in enumerate(expanded) if w not in (0, MSB)]
     if bad:
         raise ValueError(f"expanded difference leaves the MSB plane at {bad[:4]}")
@@ -477,7 +477,9 @@ def check_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[bool, int | N
     """Does the pair (m, m + characteristic) follow the designed difference
     schedule through steps 0..15?  Returns (ok, first failing step).
 
-    dstar must be MSB-only, as for derive_activity."""
+    dstar must be MSB-only, as for derive_activity, and hold at least 16 words."""
+    if len(dstar) < 16:
+        raise ValueError(f"dstar needs at least 16 words, got {len(dstar)}")
     designed = _designed_diffs(dstar)
     config = make_variant("no_sbox")
     words = list(as_block(m))

@@ -11,8 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .primitives import FIPS_IV, M32, RegisterState, _functions, _update, as_block, compress
-from .ringalg import build_E, element_order, solve_disturbance_kernel
+from .primitives import (FIPS_IV, M32, ExpansionKind, RegisterState, _functions, _update, as_block,
+                         compress, expand)
+from .ringalg import element_order, solve_disturbance_kernel
 from .variants import make_variant
 
 # correction coefficients at offsets 1..8 after a disturbance (offset 0 is the
@@ -135,8 +136,9 @@ def scaled_kernel(multiple: int, strict: bool = True) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _kernel_words(multiple: int, strict: bool) -> tuple[int, ...]:
-    """The 64 superposed words of multiple * delta, without a register table."""
-    return superpose(build_E().vec(scaled_kernel(multiple, strict)))
+    """The 64 superposed words of multiple * delta, without a register table;
+    its 64 expanded words E . delta come from the recurrence, not from E."""
+    return superpose(expand(scaled_kernel(multiple, strict), ExpansionKind.SHA256_ADD_ID_SIGMA, 64))
 
 
 def find_collision_add_linear(

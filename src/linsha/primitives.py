@@ -5,8 +5,9 @@ compression function parameterised by a variant configuration.
 The one state update, `_update`, runs on a plain 8-tuple with the variant's
 (Σ0, Σ1, Maj, Ch) from `_functions`, which `compress` and difference
 propagation resolve once per call; an identity S-box is a None Σ, for
-which the register enters the sum as it is.  `step` wraps it for every
-other caller.
+which the register enters the sum as it is, and the modular-add Boolean
+functions are a None Maj and Ch, for which the three registers do.  `step`
+wraps it for every other caller.
 It masks only the two words it outputs: exact on Python ints, and on numpy
 `uint32` arrays every operation already wraps modulo 2^32, so it serves
 single states, batches and exact difference propagation alike.  `expand`
@@ -54,7 +55,8 @@ def ch(x: int, y: int, z: int) -> int:
 
 
 def add3(x: int, y: int, z: int) -> int:
-    """Boolean-function replacement used by the ADD-linear variant."""
+    """Boolean-function replacement of the ADD-linear variant; _update adds
+    the three registers itself when _functions gives None for Maj or Ch."""
     return (x + y + z) & M32
 
 
@@ -146,19 +148,22 @@ def pad_single_block(data: bytes) -> tuple[int, ...]:
 
 
 def _functions(config: "VariantConfig") -> tuple:
-    """The variant's (Σ0, Σ1, Maj, Ch); both Σ are None for an identity S-box."""
+    """The variant's (Σ0, Σ1, Maj, Ch); both Σ are None for an identity S-box
+    and both Boolean functions None for their modular-add replacement."""
     standard_sboxes = config.sbox_mode is SboxMode.STANDARD
     sigmas = (big_sigma0, big_sigma1) if standard_sboxes else (None, None)
-    return sigmas + ((maj, ch) if config.bool_mode is BoolMode.STANDARD else (add3, add3))
+    return sigmas + ((maj, ch) if config.bool_mode is BoolMode.STANDARD else (None, None))
 
 
 def _update(state: tuple, w: int, k: int, functions: tuple) -> tuple:
     """The state update on a plain 8-tuple, with functions from _functions;
-    a None Σ is the identity, so the register itself enters the sum."""
+    a None Σ is the identity, so the register itself enters the sum, and a
+    None Maj or Ch is add3, so its three registers do."""
     bs0, bs1, f_maj, f_ch = functions
     a, b, c, d, e, f, g, h = state
-    t1 = h + (e if bs1 is None else bs1(e)) + f_ch(e, f, g) + k + w
-    t2 = (a if bs0 is None else bs0(a)) + f_maj(a, b, c)
+    t1 = (h + (e if bs1 is None else bs1(e)) + (e + f + g if f_ch is None else f_ch(e, f, g))
+          + k + w)
+    t2 = (a if bs0 is None else bs0(a)) + (a + b + c if f_maj is None else f_maj(a, b, c))
     return ((t1 + t2) & M32, a, b, c, (d + t1) & M32, e, f, g)
 
 

@@ -4,10 +4,13 @@ The expansion recurrence W_i = W_{i-2} + W_{i-7} + W_{i-15} + W_{i-16} makes
 each new word a Z_2^32-linear map of the previous sixteen, so sliding windows
 evolve by a companion matrix A.  The 64x16 expansion matrix E and the inverse
 of its 16-step block B = A^16 are read off the recurrence itself, run forwards
-and backwards on unit words; the kernel of the boundary conditions, which
-characterise expanded differences vanishing on their boundary words, comes
-from one Smith-form elimination.  The matrix-power and Gauss-Jordan
-references that E and B^-1 are checked against live with the tests.
+and backwards on unit words.  The disturbance module, the differences whose
+expansion vanishes on words 56..63 and whose backward extension vanishes on
+eight boundary words, is solved on the other eight words of that boundary
+window: the recurrence run on their unit windows gives an 8x8 system, whose
+Smith-form kernel is mapped back to 16-word differences.  The 16x16 condition
+system built from E and B^-1 stays as the reference it is checked against; the
+matrix-power and Gauss-Jordan references for E and B^-1 live with the tests.
 """
 
 from __future__ import annotations
@@ -160,6 +163,9 @@ def _block_inverse() -> WordMatrix:
 def condition_system(strict: bool = False) -> WordMatrix:
     """The 16x16 boundary system whose kernel is the disturbance module.
 
+    It is the reference for boundary_system, on which the kernel is solved,
+    and what condition_residuals evaluates.
+
     Rows 0..7: rows 8..15 of B^3, i.e. rows 56..63 of E, forcing expanded
     words 56..63 to zero.
     Rows 8..15: a row slice of B^-1 constraining the backward extension.  The
@@ -170,6 +176,23 @@ def condition_system(strict: bool = False) -> WordMatrix:
     """
     lo, hi = (8, 16) if strict else (0, 8)
     return WordMatrix(build_E().rows[56:64] + _block_inverse().rows[lo:hi])
+
+
+def boundary_system(strict: bool = False) -> tuple[WordMatrix, WordMatrix]:
+    """The disturbance conditions on the eight free words of the boundary window.
+
+    A difference whose backward extension vanishes on words -16..-9 (relaxed)
+    or -8..-1 (strict) is fixed by the other eight words of that 16-word
+    window, W[-8..-1] or W[0..7].  The recurrence run on the eight windows
+    that set one free word to 1 gives every word as a Z_2^32-linear map of
+    them.  Returns the 8x8 system whose rows are words 56..63, with the same
+    kernel as condition_system up to that map, and the 16x8 lift whose rows
+    are words 0..15, which carries a free-word solution to its difference.
+    """
+    start = 8 if strict else 16                 # the window runs from W[-start]
+    units = [[int(i == 8 + j) for i in range(16)] for j in range(8)]
+    rows = tuple(zip(*(expand(u, ExpansionKind.SHA256_ADD_ID_SIGMA, start + 64) for u in units)))
+    return WordMatrix(rows[start + 56:start + 64]), WordMatrix(rows[start:start + 16])
 
 
 @lru_cache(maxsize=None)
@@ -183,13 +206,15 @@ def solve_disturbance_kernel(strict: bool = False) -> tuple[tuple[int, ...], ...
     generator is the one whose correction characteristic survives the message
     expansion, i.e. the one that actually produces ADD-linear collisions.
 
-    Returns a minimal generating set as a tuple: both kernels are cyclic, so
-    it is one vector, canonicalised as the lexicographically smallest
-    maximal-order generator (a non-cyclic kernel raises).  Both forms are
-    solved once per process and then cached.
+    The kernel is solved on the eight free boundary words (boundary_system)
+    and its generators lifted to 16-word differences, so neither E, B^-1 nor
+    the 16x16 condition system is built.  Returns a minimal generating set as
+    a tuple: both kernels are cyclic, so it is one vector, canonicalised as
+    the lexicographically smallest maximal-order generator (a non-cyclic
+    kernel raises).  Both forms are solved once per process and then cached.
     """
-    system = condition_system(strict)
-    gens = kernel_mod_2e([list(r) for r in system.rows])
+    system, lift = boundary_system(strict)
+    gens = [lift.vec(g) for g in kernel_mod_2e(system.rows)]
     if not gens:
         return ()
     elems = enumerate_module(gens)

@@ -422,6 +422,12 @@ class TestFirstSixteen:
             with pytest.raises(ValueError, match="MSB-only"):
                 check_first16(m, dstar)
 
+    @pytest.mark.parametrize("dstar", [[0] * 10, [MSB] + [0] * 9], ids=["zero", "msb"])
+    def test_check_rejects_a_pattern_shorter_than_sixteen_words(self, rng, dstar):
+        m = [rng.getrandbits(32) for _ in range(16)]
+        with pytest.raises(ValueError, match="dstar needs at least 16 words, got 10"):
+            check_first16(m, dstar)
+
     def test_canonical_pattern_is_unsatisfiable(self, rng):
         (delta,) = solve_disturbance_kernel()
         dstar, _ = msb_disturbance(delta)

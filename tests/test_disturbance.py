@@ -2,7 +2,7 @@
 
 import pytest
 
-from linsha import disturbance
+from linsha import disturbance, ringalg
 from linsha.disturbance import (
     CORRECTION_COEFFS,
     CollisionError,
@@ -204,6 +204,24 @@ class TestCollisions:
         monkeypatch.setattr(disturbance, "propagate", refuse)
         res = find_collision_add_linear(random_block(rng), 1)
         assert res.digest == res.digest_prime
+
+    def test_collision_builds_no_expansion_matrix(self, rng, monkeypatch):
+        # the kernel is solved on the eight free boundary words and its words
+        # expanded directly: neither E, B^-1 nor the 16x16 condition system is
+        # built on the collision path, and the collision is the one found
+        # before the caches were cleared
+        m = random_block(rng)
+        expected = find_collision_add_linear(m, 1)
+
+        def refuse(*args):
+            raise AssertionError("the 16-word algebra was built on the collision path")
+
+        for cached in (_kernel_words, ringalg.solve_disturbance_kernel, ringalg.build_E,
+                       ringalg._block_inverse, ringalg.condition_system):
+            cached.cache_clear()
+        for name in ("build_E", "_block_inverse", "condition_system"):
+            monkeypatch.setattr(ringalg, name, refuse)
+        assert find_collision_add_linear(m, 1) == expected
 
     def test_relaxed_kernel_does_not_collide(self, rng):
         # its backward extension words are nonzero, so the 16-word difference

@@ -14,6 +14,9 @@ from linsha.primitives import (
     MAX_STEPS,
     ExpansionKind,
     RegisterState,
+    _functions,
+    _update,
+    add3,
     as_block,
     big_sigma0,
     big_sigma1,
@@ -242,6 +245,17 @@ class TestStepMap:
                 single = step(RegisterState(*(r[i] for r in regs)), w, k, cfg)
                 assert all(0 <= x <= M32 for x in single)
                 assert tuple(int(x[i]) for x in batch) == single
+
+    def test_add_linear_step_equals_add3_reference(self, rng):
+        # the None Maj and Ch that _functions gives the modular-add variant
+        # make _update sum the three registers itself, as add3 does
+        cfg = make_variant("add_linear")
+        assert _functions(cfg) == (None, None, None, None)
+        states = [RegisterState(*(M32,) * 8)]
+        states += [RegisterState(*(rng.getrandbits(32) for _ in range(8))) for _ in range(50)]
+        for s in states:
+            w, k = rng.getrandbits(32), rng.getrandbits(32)
+            assert step(s, w, k, cfg) == _update(s, w, k, (None, None, add3, add3))
 
     def test_as_block_validates_length(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from linsha.primitives import ExpansionKind, M32, expand
 from linsha.ringalg import (
     WordMatrix,
     backward_words,
+    boundary_system,
     build_E,
     condition_residuals,
     condition_system,
@@ -208,23 +209,49 @@ class TestKernel:
     def test_kernel_order_is_two_to_the_valuation_of_the_determinant(self, strict, det, order):
         # over Z_2^32 the kernel of a square system has order 2^v2(det S) when
         # v2(det S) < 32: the determinant of the signed system, by exact
-        # elimination over the rationals
-        a = [[Fraction(x - (1 << 32) if x >> 31 else x) for x in row]
-             for row in condition_system(strict).rows]
-        d = Fraction(1)
-        for c in range(16):
-            p = next(r for r in range(c, 16) if a[r][c])
-            if p != c:
-                a[c], a[p] = a[p], a[c]
-                d = -d
-            d *= a[c][c]
-            for r in range(c + 1, 16):
-                f = a[r][c] / a[c][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        assert d == det
+        # elimination over the rationals, is the same on the 16x16 condition
+        # system and on the 8x8 boundary system that the kernel is solved on
+        def determinant(rows):
+            a = [[Fraction(x - (1 << 32) if x >> 31 else x) for x in row] for row in rows]
+            n, d = len(a), Fraction(1)
+            for c in range(n):
+                p = next(r for r in range(c, n) if a[r][c])
+                if p != c:
+                    a[c], a[p] = a[p], a[c]
+                    d = -d
+                d *= a[c][c]
+                for r in range(c + 1, n):
+                    f = a[r][c] / a[c][c]
+                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+            return d
+
+        assert determinant(condition_system(strict).rows) == det
+        assert determinant(boundary_system(strict)[0].rows) == det
         v2 = (det & -det).bit_length() - 1
         assert len(enumerate_module(solve_disturbance_kernel(strict))) == 2 ** v2 == order
         assert kernel_mod_2e(condition_system(strict).rows) == SMITH_GENERATORS[strict]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_boundary_solve_equals_condition_system_kernel(self, strict):
+        # the module solved on the eight free boundary words and lifted is
+        # the kernel of the 16x16 reference system, element for element
+        system, lift = boundary_system(strict)
+        assert (system.nrows, system.ncols, lift.nrows, lift.ncols) == (8, 8, 16, 8)
+        assert (enumerate_module(solve_disturbance_kernel(strict))
+                == enumerate_module(kernel_mod_2e(condition_system(strict).rows)))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_lift_zeroes_the_boundary_words(self, strict, rng):
+        # any free words lift to a difference whose backward extension
+        # vanishes on the fixed boundary slice, and the system gives its
+        # expanded words 56..63
+        system, lift = boundary_system(strict)
+        for _ in range(20):
+            x = [rng.getrandbits(32) for _ in range(8)]
+            delta = lift.vec(x)
+            back = backward_words(delta)
+            assert not any(back[8:] if strict else back[:8])
+            assert system.vec(x) == tuple(expansion(delta)[56:64])
 
     def test_backward_words_distinguish_kernels(self):
         # the last eight backward-extension words decide collision-production:
