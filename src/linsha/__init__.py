@@ -23,9 +23,8 @@ _API = {name: module for module, names in (
     ("primitives", "BoolMode ExpansionKind SboxMode ch compress expand maj big_sigma0 "
                    "big_sigma1 small_sigma0 small_sigma1"),
     ("variants", "VariantConfig make_variant"),
-    ("ringalg", "build_E solve_disturbance_kernel"),
-    ("disturbance", "CORRECTION_COEFFS build_characteristic delay find_collision_add_linear "
-                    "propagate"),
+    ("ringalg", "solve_disturbance_kernel"),
+    ("disturbance", "CORRECTION_COEFFS build_characteristic find_collision_add_linear propagate"),
     ("boolanalysis", "FirstStepsError boolean_diff_table derive_activity "
                      "isolated_condition_count monte_carlo_local_collision msb_disturbance "
                      "satisfy_first16"),

@@ -98,12 +98,12 @@ def cmd_variant_run(args) -> tuple[Any, str, int]:
 
 
 def cmd_solve_disturbance(args) -> tuple[Any, str, int]:
-    from .ringalg import (condition_residuals, element_order, enumerate_module,
+    from .ringalg import (boundary_residuals, element_order, enumerate_module,
                           solve_disturbance_kernel)
     gens = solve_disturbance_kernel(strict=args.strict)
     delta = gens[0]
     multiples = enumerate_module(gens)
-    residuals = condition_residuals(delta, strict=args.strict)
+    residuals = boundary_residuals(delta, strict=args.strict)
     result = {
         "strict": args.strict,
         "generator": _hexlist(delta),

@@ -16,7 +16,7 @@ import string
 import time
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .primitives import ExpansionKind, expand, rotl, seq_weight
+from .primitives import ExpansionKind, expand, seq_weight
 from .variants import Frozen
 
 if TYPE_CHECKING:
@@ -265,10 +265,6 @@ def resolve_word_order(
         if valid:
             return seq, label, True, weight
     return ws, "as-given", False, seq_weight(ws)
-
-
-def rotate_words_left(words: Sequence[int], r: int = 1) -> list[int]:
-    return [rotl(w, r) for w in words]
 
 
 def zero_band_report(words: Sequence[int]) -> dict:

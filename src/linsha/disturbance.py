@@ -21,20 +21,9 @@ from .variants import make_variant
 CORRECTION_COEFFS: tuple[int, ...] = (-4, 2, 2, 4, 2, 1, 0, -1)
 
 
-def delay(s: Sequence[int], a: int, n: int) -> list[int]:
-    """Prepend a zeros, truncate to n entries."""
-    if a < 0 or n < 0:
-        raise ValueError("delay wants non-negative shift and truncation")
-    return ([0] * a + list(s))[:n]
-
-
 class Characteristic(NamedTuple):
     expanded_diff: tuple[int, ...]
     register_diffs: tuple[tuple[int, ...], ...]
-
-    @property
-    def collides(self) -> bool:
-        return all(x == 0 for x in self.register_diffs[-1])
 
 
 def propagate(delta_w: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -38,10 +38,6 @@ def shr(x: int, n: int) -> int:
     return (x & M32) >> n
 
 
-def weight(x: int) -> int:
-    return x.bit_count()
-
-
 def seq_weight(words: Sequence[int]) -> int:
     return sum(w.bit_count() for w in words)
 
@@ -52,12 +48,6 @@ def maj(x: int, y: int, z: int) -> int:
 
 def ch(x: int, y: int, z: int) -> int:
     return z ^ (x & (y ^ z))
-
-
-def add3(x: int, y: int, z: int) -> int:
-    """Boolean-function replacement of the ADD-linear variant; _update adds
-    the three registers itself when _functions gives None for Maj or Ch."""
-    return (x + y + z) & M32
 
 
 def big_sigma0(x: int) -> int:
@@ -158,7 +148,7 @@ def _functions(config: "VariantConfig") -> tuple:
 def _update(state: tuple, w: int, k: int, functions: tuple) -> tuple:
     """The state update on a plain 8-tuple, with functions from _functions;
     a None Σ is the identity, so the register itself enters the sum, and a
-    None Maj or Ch is add3, so its three registers do."""
+    None Maj or Ch is the modular add x + y + z, so its three registers do."""
     bs0, bs1, f_maj, f_ch = functions
     a, b, c, d, e, f, g, h = state
     t1 = (h + (e if bs1 is None else bs1(e)) + (e + f + g if f_ch is None else f_ch(e, f, g))

@@ -1,16 +1,17 @@
 """Word-level linear algebra over Z_2^32 for the identity-sigma ADD expansion.
 
 The expansion recurrence W_i = W_{i-2} + W_{i-7} + W_{i-15} + W_{i-16} makes
-each new word a Z_2^32-linear map of the previous sixteen, so sliding windows
-evolve by a companion matrix A.  The 64x16 expansion matrix E and the inverse
-of its 16-step block B = A^16 are read off the recurrence itself, run forwards
-and backwards on unit words.  The disturbance module, the differences whose
-expansion vanishes on words 56..63 and whose backward extension vanishes on
-eight boundary words, is solved on the other eight words of that boundary
-window: the recurrence run on their unit windows gives an 8x8 system, whose
-Smith-form kernel is mapped back to 16-word differences.  The 16x16 condition
-system built from E and B^-1 stays as the reference it is checked against; the
-matrix-power and Gauss-Jordan references for E and B^-1 live with the tests.
+each new word a Z_2^32-linear map of the previous sixteen.  The disturbance
+module, the differences whose expansion vanishes on words 56..63 and whose
+backward extension vanishes on eight boundary words, is solved on the other
+eight words of that boundary window: the recurrence run on their unit windows
+gives an 8x8 system, whose Smith-form kernel is mapped back to 16-word
+differences.  `boundary_residuals` evaluates the same conditions on any
+difference straight from the recurrence, run forwards and backwards.  The
+64x16 expansion matrix E, the inverse B^-1 of its 16-step block and the 16x16
+condition system built from them are the references both are tested against;
+they live in tests/reference_impl.py, with the matrix-power and Gauss-Jordan
+routes to E and B^-1.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class WordMatrix(Frozen):
         self._bind(rows)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
@@ -44,18 +41,6 @@ class WordMatrix(Frozen):
         if self.ncols != len(v):
             raise ValueError(f"dimension mismatch: {self.ncols} vs {len(v)}")
         return tuple(sum(a * b for a, b in zip(row, v)) & M32 for row in self.rows)
-
-
-@lru_cache(maxsize=None)
-def build_E() -> WordMatrix:
-    """64x16 matrix with E . M equal to the 64-word identity-sigma ADD expansion.
-
-    Column j is the expansion of unit message word j.  Its blocks of sixteen
-    rows are [I; B; B^2; B^3], B being the 16-word advance A^16.
-    """
-    units = [[int(i == j) for i in range(16)] for j in range(16)]
-    cols = [expand(u, ExpansionKind.SHA256_ADD_ID_SIGMA, 64) for u in units]
-    return WordMatrix(tuple(zip(*cols)))
 
 
 def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[tuple[int, ...]]:
@@ -152,32 +137,6 @@ def element_order(v: Sequence[int]) -> int:
     return 1 << (32 - vmin)
 
 
-@lru_cache(maxsize=None)
-def _block_inverse() -> WordMatrix:
-    """B^-1: column j holds the backward words of unit message word j."""
-    cols = [backward_words([int(i == j) for i in range(16)]) for j in range(16)]
-    return WordMatrix(tuple(zip(*cols)))
-
-
-@lru_cache(maxsize=None)
-def condition_system(strict: bool = False) -> WordMatrix:
-    """The 16x16 boundary system whose kernel is the disturbance module.
-
-    It is the reference for boundary_system, on which the kernel is solved,
-    and what condition_residuals evaluates.
-
-    Rows 0..7: rows 8..15 of B^3, i.e. rows 56..63 of E, forcing expanded
-    words 56..63 to zero.
-    Rows 8..15: a row slice of B^-1 constraining the backward extension.  The
-    relaxed default uses rows 0..7 of B^-1 (backward words -16..-9); the
-    strict flag switches to rows 8..15 (backward words -8..-1), which is the
-    slice an expansion-consistent correction characteristic actually needs.
-    See solve_disturbance_kernel for the consequences of each choice.
-    """
-    lo, hi = (8, 16) if strict else (0, 8)
-    return WordMatrix(build_E().rows[56:64] + _block_inverse().rows[lo:hi])
-
-
 def boundary_system(strict: bool = False) -> tuple[WordMatrix, WordMatrix]:
     """The disturbance conditions on the eight free words of the boundary window.
 
@@ -186,8 +145,9 @@ def boundary_system(strict: bool = False) -> tuple[WordMatrix, WordMatrix]:
     window, W[-8..-1] or W[0..7].  The recurrence run on the eight windows
     that set one free word to 1 gives every word as a Z_2^32-linear map of
     them.  Returns the 8x8 system whose rows are words 56..63, with the same
-    kernel as condition_system up to that map, and the 16x8 lift whose rows
-    are words 0..15, which carries a free-word solution to its difference.
+    kernel as the 16x16 condition system up to that map, and the 16x8 lift
+    whose rows are words 0..15, which carries a free-word solution to its
+    difference.
     """
     start = 8 if strict else 16                 # the window runs from W[-start]
     units = [[int(i == 8 + j) for i in range(16)] for j in range(8)]
@@ -207,8 +167,7 @@ def solve_disturbance_kernel(strict: bool = False) -> tuple[tuple[int, ...], ...
     expansion, i.e. the one that actually produces ADD-linear collisions.
 
     The kernel is solved on the eight free boundary words (boundary_system)
-    and its generators lifted to 16-word differences, so neither E, B^-1 nor
-    the 16x16 condition system is built.  Returns a minimal generating set as
+    and its generators lifted to 16-word differences.  Returns a minimal generating set as
     a tuple: both kernels are cyclic, so it is one vector, canonicalised as
     the lexicographically smallest maximal-order generator (a non-cyclic
     kernel raises).  Both forms are solved once per process and then cached.
@@ -224,12 +183,6 @@ def solve_disturbance_kernel(strict: bool = False) -> tuple[tuple[int, ...], ...
     return (min(e for e in elems if element_order(e) == size),)
 
 
-def condition_residuals(delta: Sequence[int], strict: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Evaluate both 8-row boundary conditions on a 16-word difference."""
-    system = condition_system(strict)
-    return WordMatrix(system.rows[:8]).vec(delta), WordMatrix(system.rows[8:]).vec(delta)
-
-
 def backward_words(delta: Sequence[int]) -> tuple[int, ...]:
     """Words -16..-1 of the backward-extended expansion of delta.
 
@@ -242,3 +195,16 @@ def backward_words(delta: Sequence[int]) -> tuple[int, ...]:
     for i in range(15, -1, -1):
         w[i] = (w[i + 16] - w[i + 14] - w[i + 9] - w[i + 1]) & M32
     return tuple(w[:16])
+
+
+def boundary_residuals(delta: Sequence[int], strict: bool = False
+                       ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both disturbance conditions on a 16-word difference, by definition.
+
+    Expanded words 56..63, then backward words -8..-1 (strict) or -16..-9
+    (relaxed); both vanish exactly on the disturbance module.  Independent of
+    boundary_system, so it checks the kernel that is solved there.
+    """
+    back = backward_words(delta)
+    return (tuple(expand(delta, ExpansionKind.SHA256_ADD_ID_SIGMA, 64)[56:64]),
+            back[8:] if strict else back[:8])

@@ -1,39 +1,96 @@
 """Reference implementations that only the tests call.
 
-`linsha.ringalg` reads E and B^-1 off the expansion recurrence, run forwards
-and backwards on unit words.  The routes here are the textbook ones they are
-checked against: the companion matrix A of the recurrence, its powers, and
-Gauss-Jordan inversion over Z_2^32.  `linsha.isd` builds a systematic form
-from the generator's message basis by single-column swaps; the route here is
-a full reduced elimination over the permuted generator.  `kernel_mod_2e`
-builds only the generator columns of its Smith transform from recorded
-stages; the route here applies every stage to all of the transform.
+`linsha.ringalg` solves the disturbance kernel on an 8x8 boundary system and
+evaluates its conditions straight from the expansion recurrence.  The 16x16
+condition system both are checked against lives here: rows 56..63 of the
+64x16 expansion matrix E over a row slice of the inverse block B^-1, with E
+and B^-1 read off the recurrence run forwards and backwards on unit words.
+So do the textbook routes to E and B^-1 that those are checked against: the
+companion matrix A of the recurrence, its powers, and Gauss-Jordan inversion
+over Z_2^32.  `add3` is the modular-add Boolean function that the add-linear
+step applies inline, and `rotate_words_left` the word rotation that shows
+the XOR-expansion code is not rotation-closed.  `linsha.isd` builds a
+systematic form from the generator's message basis by single-column swaps;
+the route here is a full reduced elimination over the permuted generator.
+`kernel_mod_2e` builds only the generator columns of its Smith transform
+from recorded stages; the route here applies every stage to all of the
+transform.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
 from linsha.isd import _permuted
-from linsha.primitives import M32
-from linsha.ringalg import WordMatrix, build_E
+from linsha.primitives import M32, ExpansionKind, expand, rotl
+from linsha.ringalg import WordMatrix, backward_words
 
 WORD_MOD = 1 << 32
 
 
+def add3(x: int, y: int, z: int) -> int:
+    return (x + y + z) & M32
+
+
+def rotate_words_left(words: Sequence[int], r: int = 1) -> list[int]:
+    return [rotl(w, r) for w in words]
+
+
+@lru_cache(maxsize=None)
+def build_E() -> WordMatrix:
+    """64x16 matrix with E . M equal to the 64-word identity-sigma ADD expansion.
+
+    Column j is the expansion of unit message word j.  Its blocks of sixteen
+    rows are [I; B; B^2; B^3], B being the 16-word advance A^16.
+    """
+    units = [[int(i == j) for i in range(16)] for j in range(16)]
+    cols = [expand(u, ExpansionKind.SHA256_ADD_ID_SIGMA, 64) for u in units]
+    return WordMatrix(tuple(zip(*cols)))
+
+
+@lru_cache(maxsize=None)
+def block_inverse() -> WordMatrix:
+    """B^-1: column j holds the backward words of unit message word j."""
+    cols = [backward_words([int(i == j) for i in range(16)]) for j in range(16)]
+    return WordMatrix(tuple(zip(*cols)))
+
+
+@lru_cache(maxsize=None)
+def condition_system(strict: bool = False) -> WordMatrix:
+    """The 16x16 boundary system whose kernel is the disturbance module.
+
+    Rows 0..7: rows 8..15 of B^3, i.e. rows 56..63 of E, forcing expanded
+    words 56..63 to zero.
+    Rows 8..15: a row slice of B^-1 constraining the backward extension.  The
+    relaxed default uses rows 0..7 of B^-1 (backward words -16..-9); the
+    strict flag switches to rows 8..15 (backward words -8..-1), which is the
+    slice an expansion-consistent correction characteristic actually needs.
+    """
+    lo, hi = (8, 16) if strict else (0, 8)
+    return WordMatrix(build_E().rows[56:64] + block_inverse().rows[lo:hi])
+
+
+def condition_residuals(delta: Sequence[int], strict: bool = False
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Evaluate both 8-row boundary conditions on a 16-word difference."""
+    system = condition_system(strict)
+    return WordMatrix(system.rows[:8]).vec(delta), WordMatrix(system.rows[8:]).vec(delta)
+
+
 def mul(a: WordMatrix, b: WordMatrix) -> WordMatrix:
-    if a.ncols != b.nrows:
-        raise ValueError(f"dimension mismatch: {a.ncols} vs {b.nrows}")
+    if a.ncols != len(b.rows):
+        raise ValueError(f"dimension mismatch: {a.ncols} vs {len(b.rows)}")
     cols = list(zip(*b.rows))
     return WordMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) & M32 for col in cols)
                             for row in a.rows))
 
 
 def matrix_pow(m: WordMatrix, k: int) -> WordMatrix:
-    result = identity_matrix(m.nrows)
+    result = identity_matrix(len(m.rows))
     while k:
         if k & 1:
             result = mul(result, m)
@@ -72,7 +129,7 @@ def invert(m: WordMatrix) -> WordMatrix:
     A matrix is invertible mod 2^32 exactly when it is invertible mod 2, so
     pivot selection only needs an odd entry in the column.
     """
-    n = m.nrows
+    n = len(m.rows)
     if n != m.ncols:
         raise ValueError("only square matrices invert")
     a = [list(row) for row in m.rows]

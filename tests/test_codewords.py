@@ -19,7 +19,6 @@ from linsha.codewords import (
     load_codeword_file,
     low_weight_search,
     resolve_word_order,
-    rotate_words_left,
     single_bit_census,
     sweep_csv,
     verify_codeword,
@@ -28,7 +27,7 @@ from linsha.codewords import (
 )
 from linsha.primitives import ExpansionKind, expand, seq_weight
 from conftest import assert_reaped
-from reference_impl import systematic_by_elimination
+from reference_impl import rotate_words_left, systematic_by_elimination
 
 XOR = ExpansionKind.SHA256_XOR
 SHA1_XOR = ExpansionKind.SHA1_XOR

@@ -8,7 +8,6 @@ from linsha.disturbance import (
     CollisionError,
     _kernel_words,
     build_characteristic,
-    delay,
     expansion_mismatches,
     find_collision_add_linear,
     propagate,
@@ -24,9 +23,9 @@ from linsha.primitives import (
     expand,
     step,
 )
-from linsha.ringalg import build_E
 from linsha.variants import make_variant
 from conftest import KERNEL_GENERATOR
+from reference_impl import build_E
 
 # register multipliers carried by one corrected disturbance of value 1,
 # offsets 0..9 after the injection step (registers a..h; signed, mod 2^32)
@@ -45,22 +44,12 @@ OFFSET_MULTIPLIERS = {
 
 
 class TestDelay:
-    def test_basic_example(self):
-        assert delay([1, 2, 3], 2, 4) == [0, 0, 1, 2]
-
-    def test_zero_shift_truncates(self):
-        assert delay([5, 6, 7], 0, 2) == [5, 6]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            delay([1], -1, 4)
-
     def test_delayed_expansion_obeys_recurrence_later(self, rng):
         # shifting a valid expansion by b breaks the recurrence only below 16+b
         m = [rng.getrandbits(32) for _ in range(16)]
         w = expand(m, ExpansionKind.SHA256_ADD_ID_SIGMA, 64)
         for b in range(1, 9):
-            shifted = delay(w, b, 64)
+            shifted = ([0] * b + w)[:64]
             bad = expansion_mismatches(shifted)
             assert all(j < 16 + b for j in bad)
 
@@ -205,22 +194,16 @@ class TestCollisions:
         res = find_collision_add_linear(random_block(rng), 1)
         assert res.digest == res.digest_prime
 
-    def test_collision_builds_no_expansion_matrix(self, rng, monkeypatch):
+    def test_collision_builds_no_expansion_matrix(self, rng):
         # the kernel is solved on the eight free boundary words and its words
-        # expanded directly: neither E, B^-1 nor the 16x16 condition system is
-        # built on the collision path, and the collision is the one found
-        # before the caches were cleared
+        # expanded directly: the package defines neither E, B^-1 nor the 16x16
+        # condition system, which are the tests' reference, and the collision
+        # is the one found before the caches were cleared
         m = random_block(rng)
         expected = find_collision_add_linear(m, 1)
-
-        def refuse(*args):
-            raise AssertionError("the 16-word algebra was built on the collision path")
-
-        for cached in (_kernel_words, ringalg.solve_disturbance_kernel, ringalg.build_E,
-                       ringalg._block_inverse, ringalg.condition_system):
+        assert not {"build_E", "_block_inverse", "condition_system"} & set(vars(ringalg))
+        for cached in (_kernel_words, ringalg.solve_disturbance_kernel):
             cached.cache_clear()
-        for name in ("build_E", "_block_inverse", "condition_system"):
-            monkeypatch.setattr(ringalg, name, refuse)
         assert find_collision_add_linear(m, 1) == expected
 
     def test_relaxed_kernel_does_not_collide(self, rng):

@@ -10,9 +10,9 @@ PUBLIC = {
     "primitives": {"BoolMode", "ExpansionKind", "SboxMode", "ch", "compress", "expand", "maj",
                    "big_sigma0", "big_sigma1", "small_sigma0", "small_sigma1"},
     "variants": {"VariantConfig", "make_variant"},
-    "ringalg": {"build_E", "solve_disturbance_kernel"},
-    "disturbance": {"CORRECTION_COEFFS", "build_characteristic", "delay",
-                    "find_collision_add_linear", "propagate"},
+    "ringalg": {"solve_disturbance_kernel"},
+    "disturbance": {"CORRECTION_COEFFS", "build_characteristic", "find_collision_add_linear",
+                    "propagate"},
     "boolanalysis": {"FirstStepsError", "boolean_diff_table", "derive_activity",
                      "isolated_condition_count", "monte_carlo_local_collision",
                      "msb_disturbance", "satisfy_first16"},
@@ -52,7 +52,7 @@ def test_layer_modules_resolve_and_unknown_names_raise():
 # one instance of each immutable class the layers return or take, built cheaply
 INSTANCES = {
     "VariantConfig": lambda: linsha.make_variant("standard"),
-    "WordMatrix": lambda: linsha.build_E(),
+    "WordMatrix": lambda: linsha.ringalg.boundary_system()[0],
     "Characteristic": lambda: linsha.build_characteristic([1] + [0] * 15),
     "CollisionResult": lambda: linsha.find_collision_add_linear([0] * 16, 1),
     "BooleanDiffEntry": lambda: linsha.boolean_diff_table()[0],

@@ -16,7 +16,6 @@ from linsha.primitives import (
     RegisterState,
     _functions,
     _update,
-    add3,
     as_block,
     big_sigma0,
     big_sigma1,
@@ -32,9 +31,9 @@ from linsha.primitives import (
     small_sigma0,
     small_sigma1,
     step,
-    weight,
 )
 from linsha.variants import make_variant
+from reference_impl import add3
 
 word = st.integers(min_value=0, max_value=M32)
 
@@ -82,19 +81,19 @@ class TestBooleanFunctions:
 
 class TestSigmas:
     def test_weight_single_bit_examples(self):
-        assert weight(small_sigma0(1 << 31)) == 3
-        assert weight(small_sigma0(1)) == 2
+        assert small_sigma0(1 << 31).bit_count() == 3
+        assert small_sigma0(1).bit_count() == 2
 
     def test_weight_growth_bound_exhaustive(self):
         # every sigma is a XOR of at most three shifted copies
         for fn in (small_sigma0, small_sigma1, big_sigma0, big_sigma1):
             for b in range(32):
-                assert weight(fn(1 << b)) <= 3
+                assert fn(1 << b).bit_count() <= 3
 
     def test_rotation_sigmas_preserve_weight_exactly(self):
         for fn in (big_sigma0, big_sigma1):
             for b in range(32):
-                assert weight(fn(1 << b)) == 3
+                assert fn(1 << b).bit_count() == 3
 
     @given(word, word)
     @settings(max_examples=60, deadline=None)

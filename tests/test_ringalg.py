@@ -10,10 +10,8 @@ from linsha.primitives import ExpansionKind, M32, expand
 from linsha.ringalg import (
     WordMatrix,
     backward_words,
+    boundary_residuals,
     boundary_system,
-    build_E,
-    condition_residuals,
-    condition_system,
     element_order,
     enumerate_module,
     kernel_mod_2e,
@@ -23,6 +21,9 @@ from conftest import KERNEL_GENERATOR, STRICT_GENERATOR
 from reference_impl import (
     block_advance,
     build_A,
+    build_E,
+    condition_residuals,
+    condition_system,
     identity_matrix,
     invert,
     kernel_by_full_transform,
@@ -133,6 +134,18 @@ class TestKernel:
             for block in condition_residuals(v):
                 assert all(x == 0 for x in block)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_boundary_residuals_equal_the_condition_system(self, strict):
+        # the conditions read off the recurrence against the 16x16 system
+        # built from E and B^-1, word for word, on both generators and on
+        # seeded random differences
+        rnd = random.Random(2014 + strict)
+        vectors = [KERNEL_GENERATOR, STRICT_GENERATOR]
+        vectors += [tuple(rnd.getrandbits(32) for _ in range(16)) for _ in range(200)]
+        for v in vectors:
+            assert boundary_residuals(v, strict) == condition_residuals(v, strict), v
+        assert not any(map(any, boundary_residuals(solve_disturbance_kernel(strict)[0], strict)))
+
     def test_kernel_is_solved_once_and_immutable(self):
         for strict in (False, True):
             gens = solve_disturbance_kernel(strict)
@@ -236,7 +249,7 @@ class TestKernel:
         # the module solved on the eight free boundary words and lifted is
         # the kernel of the 16x16 reference system, element for element
         system, lift = boundary_system(strict)
-        assert (system.nrows, system.ncols, lift.nrows, lift.ncols) == (8, 8, 16, 8)
+        assert (len(system.rows), system.ncols, len(lift.rows), lift.ncols) == (8, 8, 16, 8)
         assert (enumerate_module(solve_disturbance_kernel(strict))
                 == enumerate_module(kernel_mod_2e(condition_system(strict).rows)))
 
