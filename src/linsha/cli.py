@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("local-collision-mc", cmd_local_collision_mc, seeded=True,
             help="Monte Carlo estimate of one local collision")
     p.add_argument("--start-step", type=int, default=20)
-    p.add_argument("--trials", "--iterations", type=int, default=1 << 16,
+    p.add_argument("--trials", type=int, default=1 << 16,
                    help="trials to run (default 65536)")
     p.add_argument("--workers", type=int, default=1,
                    help="independent trial streams, run in up to CPU-count processes; "

@@ -61,10 +61,9 @@ def superpose(delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS) -
     return tuple(c)
 
 
-def build_characteristic(delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS
-                         ) -> Characteristic:
-    """The words superpose(delta, coeffs) with their register-difference table."""
-    c = superpose(delta, coeffs)
+def build_characteristic(delta: Sequence[int]) -> Characteristic:
+    """The words superpose(delta) with their register-difference table."""
+    c = superpose(delta)
     return Characteristic(c, propagate(c))
 
 
@@ -97,7 +96,6 @@ class CollisionResult(NamedTuple):
     message: tuple[int, ...]
     message_prime: tuple[int, ...]
     digest: RegisterState
-    digest_prime: RegisterState
 
 
 def random_block(rng) -> tuple[int, ...]:
@@ -164,4 +162,4 @@ def find_collision_add_linear(
             mism,
             digest_prime.sub(digest),
         )
-    return CollisionResult(block, m_prime, digest, digest_prime)
+    return CollisionResult(block, m_prime, digest)

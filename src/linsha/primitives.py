@@ -196,7 +196,7 @@ def expand(m: Sequence[int], kind: ExpansionKind, n: int) -> list[int]:
 
 
 def compress(iv: RegisterState, m: Sequence[int], config: "VariantConfig") -> RegisterState:
-    """Run config.steps state updates, then the feed-forward if enabled.
+    """Run config.steps state updates, then the feed-forward that adds the IV.
 
     m may be a (16, n) uint32 batch; the IV is then lifted onto its arrays, so
     that no sum of int registers outgrows uint32 before it meets a word array.
@@ -210,7 +210,7 @@ def compress(iv: RegisterState, m: Sequence[int], config: "VariantConfig") -> Re
         # constants cancel in every difference computation; kept verbatim anyway
         state = _update(state, words[i], K[i % 64], functions)
     state = RegisterState(*state)
-    return state.add(iv) if config.feed_forward else state
+    return state.add(iv)
 
 
 def digest_hex(state: RegisterState) -> str:

@@ -107,8 +107,8 @@ def kernel_mod_2e(system: Sequence[Sequence[int]], exponent: int = 32) -> list[t
     return gens
 
 
-def enumerate_module(gens: Sequence[Sequence[int]], cap: int = 1 << 16) -> set[tuple[int, ...]]:
-    """All elements of the module generated by gens; raises beyond cap."""
+def enumerate_module(gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """All elements of the module generated by gens; raises beyond 2^16."""
     if not gens:
         return {tuple()}
     n = len(gens[0])
@@ -121,8 +121,8 @@ def enumerate_module(gens: Sequence[Sequence[int]], cap: int = 1 << 16) -> set[t
             for g in gens:
                 s = tuple((a + b) & M32 for a, b in zip(e, g))
                 if s not in elems:
-                    if len(elems) >= cap:
-                        raise RuntimeError(f"module larger than cap {cap}")
+                    if len(elems) >= 1 << 16:
+                        raise RuntimeError("module larger than 2^16 elements")
                     elems.add(s)
                     nxt.append(s)
         frontier = nxt

@@ -47,16 +47,16 @@ class Frozen:
 
 
 class VariantConfig(Frozen):
-    """Which S-boxes, Boolean functions and expansion a variant uses, its
-    step count and whether it feeds forward."""
+    """Which S-boxes, Boolean functions and expansion a variant uses, and its
+    step count.  Every variant keeps the Davies-Meyer feed-forward."""
 
-    __slots__ = ("sbox_mode", "bool_mode", "expansion_kind", "steps", "feed_forward")
+    __slots__ = ("sbox_mode", "bool_mode", "expansion_kind", "steps")
 
     def __init__(self, sbox_mode: SboxMode, bool_mode: BoolMode, expansion_kind: ExpansionKind,
-                 steps: int = 64, feed_forward: bool = True) -> None:
+                 steps: int = 64) -> None:
         if not 0 <= steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {steps}")
-        self._bind(sbox_mode, bool_mode, expansion_kind, steps, feed_forward)
+        self._bind(sbox_mode, bool_mode, expansion_kind, steps)
 
 
 # in the order the `vectors` command reports them

@@ -83,7 +83,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     ("search", "--steps", "20", "--iterations", "5", "--workers", "2"),
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"),
     ("local-collision-mc", "--trials", "64", "--workers", "0"),
-    ("local-collision-mc", "--iterations", "0"),
+    ("local-collision-mc", "--trials", "0"),
     ("collide", "--seed", "abc"),
     ("collide", "--seed", "1.5"),
     ("collide", "--multiple", "2", "--count", "0"),
@@ -113,15 +113,16 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
      "--algorithm", "leon"),
     # the census draws nothing, so it takes no seed
     ("census", "--seed", "1"),
+    ("local-collision-mc", "--trials", "5", "--iterations", "7"),
 ], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
-        "mc-iterations-0", "seed-not-a-number", "seed-not-an-integer",
+        "mc-trials-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
         "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
         "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
         "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
         "fig2-range-empty", "collide-strict", "search-seed-negative", "collide-seed-negative",
-        "search-algorithm", "fig2-algorithm", "census-seed"])
+        "search-algorithm", "fig2-algorithm", "census-seed", "mc-iterations-alias"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
@@ -146,6 +147,8 @@ NAMED_IN_ERROR = {
     ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
     ("census", "--seed", "1"): "unrecognized arguments: --seed 1",
+    ("local-collision-mc", "--trials", "5", "--iterations", "7"):
+        "unrecognized arguments: --iterations 7",
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
 }
@@ -274,13 +277,6 @@ def test_local_collision_mc_without_successes_is_json(capsys):
     assert "0/5, no successes" in err and "inf" not in err
 
 
-def test_local_collision_mc_iterations_aliases_trials(capsys):
-    code, report, _ = run(capsys, "local-collision-mc", "--trials", "5", "--iterations", "7")
-    assert code == 0
-    assert report["result"]["trials"] == 7
-    assert report["parameters"] == {"start_step": 20, "trials": 7, "workers": 1}
-
-
 def test_fig2_csv_out(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code, report, _ = run(capsys, "fig2", "--min-steps", "16", "--max-steps", "18",
@@ -319,7 +315,7 @@ def test_variant_run_payload(capsys):
     variant = report["result"]["variant"]
     assert list(variant.items()) == [
         ("sbox_mode", "identity"), ("bool_mode", "standard"),
-        ("expansion_kind", "sha256-add-id-sigma"), ("steps", 48), ("feed_forward", True)]
+        ("expansion_kind", "sha256-add-id-sigma"), ("steps", 48)]
     assert report["result"]["digest"] == (
         "fe37498667339ebbec9adecb9c2914699f137177087286f208c8113558ab25b2")
 

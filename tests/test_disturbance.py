@@ -116,8 +116,9 @@ class TestPropagate:
             assert propagate(dw) == tuple(stepped) == tuple(written)
 
     def test_matches_paired_compressions(self, rng):
-        # closed-form differences equal those of two real runs
-        cfg = make_variant("add_linear").replace(steps=16, feed_forward=False)
+        # closed-form differences equal those of two real runs; the IV their
+        # feed-forward adds cancels in the digest difference
+        cfg = make_variant("add_linear").replace(steps=16)
         m = [rng.getrandbits(32) for _ in range(16)]
         dw = [rng.getrandbits(32) for _ in range(16)]
         m2 = [(a + d) & M32 for a, d in zip(m, dw)]
@@ -142,7 +143,7 @@ class TestCollisions:
     def test_strict_kernel_collides(self, rng):
         for _ in range(10):
             res = find_collision_add_linear(random_block(rng), 1, strict=True)
-            assert res.digest == res.digest_prime
+            assert compress(FIPS_IV, res.message_prime, make_variant("add_linear")) == res.digest
             assert res.message != res.message_prime
 
     def test_difference_is_first_sixteen_of_characteristic(self, rng):
@@ -192,7 +193,7 @@ class TestCollisions:
         _kernel_words.cache_clear()
         monkeypatch.setattr(disturbance, "propagate", refuse)
         res = find_collision_add_linear(random_block(rng), 1)
-        assert res.digest == res.digest_prime
+        assert compress(FIPS_IV, res.message_prime, make_variant("add_linear")) == res.digest
 
     def test_collision_builds_no_expansion_matrix(self, rng):
         # the kernel is solved on the eight free boundary words and its words

@@ -79,3 +79,16 @@ def test_values_are_immutable(name):
     with pytest.raises(AttributeError):
         obj.extra = 1
     assert getattr(obj, field) is value
+
+
+@pytest.mark.parametrize("name", ["SearchParams", "VariantConfig"])
+def test_public_configs_are_values(name):
+    # both are in linsha.__all__, so equality, hashing and repr by field are API
+    obj = INSTANCES[name]()
+    fields = {field: getattr(obj, field) for field in type(obj).__slots__}
+    twin = getattr(linsha, name)(**fields)
+    assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+    listed = ", ".join(f"{field}={value!r}" for field, value in fields.items())
+    assert repr(twin) == repr(obj) == f"{name}({listed})"
+    copy = obj.replace(**fields)
+    assert copy is not obj and copy == obj and hash(copy) == hash(obj)

@@ -13,7 +13,7 @@ def test_standard_preset():
     assert cfg.sbox_mode is SboxMode.STANDARD
     assert cfg.bool_mode is BoolMode.STANDARD
     assert cfg.expansion_kind is ExpansionKind.SHA256_ADD
-    assert cfg.steps == 64 and cfg.feed_forward
+    assert cfg.steps == 64
 
 
 def test_add_linear_preset_is_fully_affine():
@@ -56,7 +56,7 @@ def test_json_roundtrip(capsys):
 
     from linsha.cli import main
 
-    types = (SboxMode, BoolMode, ExpansionKind, int, bool)
+    types = (SboxMode, BoolMode, ExpansionKind, int)
     for name in ("standard", "add_linear", "no_sbox", "xor_expansion"):
         assert main(["variant-run", "--variant", name, "--steps", "48"]) == 0
         raw = json.loads(capsys.readouterr().out)["result"]["variant"]
@@ -77,7 +77,7 @@ def test_presets_compare_and_hash_by_value():
         twin = VariantConfig(cfg.sbox_mode, cfg.bool_mode, cfg.expansion_kind)
         assert twin == cfg and hash(twin) == hash(cfg) and twin is not cfg
         assert cfg.replace(steps=40) != cfg
-        assert cfg != (cfg.sbox_mode, cfg.bool_mode, cfg.expansion_kind, 64, True)
+        assert cfg != (cfg.sbox_mode, cfg.bool_mode, cfg.expansion_kind, 64)
 
 
 def test_config_is_a_cache_key():
@@ -98,3 +98,7 @@ def test_config_is_a_cache_key():
 def test_replace_rejects_unknown_fields():
     with pytest.raises(TypeError):
         make_variant("standard").replace(rounds=3)
+    # every variant feeds forward, so there is no field to turn it off
+    with pytest.raises(TypeError):
+        VariantConfig(SboxMode.STANDARD, BoolMode.STANDARD, ExpansionKind.SHA256_ADD,
+                      feed_forward=False)
