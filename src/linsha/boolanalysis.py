@@ -348,7 +348,7 @@ class FirstStepsError(RuntimeError):
     together with this one have no common solution over bit 31 of a and e.  It
     is empty when they are consistent but registers fixed in earlier steps
     zero the low 31 bits of e - a, so bit 31 of e follows bit 31 of a
-    whatever the word.
+    whatever the word, and no value the word before may take frees them.
     """
 
     def __init__(
@@ -421,6 +421,10 @@ def satisfy_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[int, ...]:
     wanted carry confines x to one interval; an x outside it moves in, keeping
     its value modulo the interval's size, and a free bit of e keeps the carry.
     The interval is empty only when gap mod 2^31 is 0 and a carry is wanted.
+    Then word t - 1 moves within its own interval, which keeps its bits, to
+    the next value that leaves gap mod 2^31 nonzero, and word t is taken
+    again; the pass raises only at word 0, or when word t - 1's interval
+    holds no other such value.
     """
     rows = derive_activity(dstar)[:16]
     conditions = [(r.step, e) for r in rows for e in r.conditions]
@@ -444,32 +448,59 @@ def satisfy_first16(m: Sequence[int], dstar: Sequence[int]) -> tuple[int, ...]:
         mask, rhs, _ = pivots[var]
         return rhs ^ (mask & values).bit_count() & 1
 
+    def free_gap(t: int, before: RegisterState, span: tuple[int, int]) -> int | None:
+        """Another word t - 1, entering `before`, that keeps bit 31 of the a
+        and e it makes and leaves the low 31 bits of e - a nonzero for word t,
+        or None.  The bits stay while its x stays in its interval span =
+        (lo, size), whose next values, cyclically, are tried in turn."""
+        lo, size = span
+        base_a = step(before, 0, K[t - 1], config).a
+        a = (base_a + words[t - 1]) & M32
+        x = a & (MSB - 1)
+        for shift in range(1, size):
+            w = ((a & MSB | lo + (x - lo + shift) % size) - base_a) & M32
+            nxt = step(step(before, w, K[t - 1], config), 0, K[t], config)
+            if (nxt.e - nxt.a) & (MSB - 1):
+                return w
+        return None
+
     config = make_variant("no_sbox")
     words = list(as_block(m))
     state, values = FIPS_IV, 0          # values: the variables set so far
-    for t in range(len(rows) - 1):
+    before, span = state, (0, 1)        # the state word t - 1 entered, and its interval of x
+    t = 0
+    while t < len(rows) - 1:
         base = step(state, 0, K[t], config)
         gap = (base.e - base.a) & M32
         low = gap & (MSB - 1)
         a = (base.a + words[t]) & M32
         x = a & (MSB - 1)
         carry = (x + low) >> 31
+        values &= (1 << 2 * t) - 1          # a word taken again sets its variables again
         want_a = wanted(2 * t, a >> 31)
         values |= want_a << 2 * t
         want_e = wanted(2 * t + 1, want_a ^ gap >> 31 ^ carry)
         values |= want_e << 2 * t + 1
         need = want_a ^ want_e ^ gap >> 31         # the carry the wanted bits need
+        lo, size = (MSB - low, low) if need else (0, MSB - low)
         if need != carry:
-            lo, size = (MSB - low, low) if need else (0, MSB - low)
             if not size:
-                # only the equation led by bit 31 of e can want a carry
+                # only the equation led by bit 31 of e can want a carry; word
+                # t - 1 moves within its interval until e - a is free, then
+                # word t is taken again
+                if t and (prev := free_gap(t, before, span)) is not None:
+                    words[t - 1] = prev
+                    state = step(before, prev, K[t - 1], config)
+                    continue
                 s, entry = conditions[pivots[2 * t + 1][2].bit_length() - 1]
                 raise FirstStepsError(s, entry.func, entry.input_diff, entry.condition)
             x = lo + x % size
         words[t] = ((want_a << 31 | x) - base.a) & M32
+        before, span = state, (lo, size)
         state = step(state, words[t], K[t], config)
         if not _conditions_hold(state, rows[t + 1].conditions):
             raise AssertionError(f"step {t + 1}'s conditions fail on the modified message")
+        t += 1
     return tuple(words)
 
 

@@ -1,13 +1,14 @@
 """Blocks of work run side by side in forked children of the calling process.
 
 Both numpy strands split their work this way: the Monte Carlo its trial
-streams, the ISD chain its batches of information sets.  The calling process
+streams, the ISD chain the weighing of its batches of information sets.  The calling process
 runs the last block itself and one os.fork child runs each other block, so
 with one block nothing is forked.  Callers make at most one block per
 usable CPU, so on one CPU nothing is forked.
 
 fork, not spawn: a fresh interpreter would import numpy again and could not
-start from what the caller already holds (the chain's systematic form).
+start from what the caller already holds (the ISD chain's ring of batches
+in shared memory, and the pipes that pass its slots).
 """
 
 from __future__ import annotations

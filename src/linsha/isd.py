@@ -5,13 +5,18 @@ over the generator's columns packed into uint64 words.  Its first systematic
 form is built from the generator's message basis by the chain's own
 single-column swap, which is then its only set update.  An iteration is one
 column swap and one weighed set: each set is copied into a batch and weighed
-a batch at a time.  The chain is replayed in forked processes that weigh its
-batches in turn (see chain_search).  It lives apart from codewords so that
-only the commands that search load numpy.
+a batch at a time.  The calling process runs the chain and hands full
+batches through a shared-memory ring to forked processes that weigh them
+(see chain_search).  It lives apart from codewords so that only the commands
+that search load numpy.
 """
 
 from __future__ import annotations
 
+import io
+import mmap
+import os
+import struct
 import time
 from random import Random
 from typing import TYPE_CHECKING
@@ -34,8 +39,16 @@ if TYPE_CHECKING:
 BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
 PAIR_CHUNK = 1 << 13        # row pairs weighed at once, plus at most 511
 ROW_BITS = 9                # bits of a row index: the generator has 512 rows
-MAX_REPLAYS = 4             # processes one chain is replayed in, at most (see chain_search)
+# processes that weigh one chain, the chain's own included, at most (see
+# chain_search).  Only the calling process swaps, and at 40 steps its swaps
+# take about 40% of a one-process run, which no number of weighers shortens.
+MAX_PROCS = 4
 WINDOW = 12                 # Stern window: the leading redundancy bits a row pair must share
+NO_PAIR = 1 << 62           # a set's pair code before any pair: above every (weight, row, row) code
+FILLED = struct.Struct("<2q")  # a full batch on the ring: (slot, first iteration)
+
+# (iteration, weight, word) of each set lighter than a process's running best
+Records = list[tuple[int, int, tuple[int, ...]]]
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -135,27 +148,34 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     index.
     """
     n_words, nb, k = sets.shape
-    weights = np.bitwise_count(sets).sum(axis=0, dtype=np.int32)
+    # a redundancy part has at most 64 * W <= 2048 bits, so uint16 sums hold
+    weights = np.bitwise_count(sets).sum(axis=0, dtype=np.uint16)
     first = weights.argmin(axis=1)
-    least = weights[np.arange(nb), first] + 1
-    best = [(w, (r,)) for w, r in zip(least.tolist(), first.tolist())]
+    best = [(w + 1, (r,)) for w, r in zip(weights.min(axis=1).tolist(), first.tolist())]
     # sort each set's rows by their window bits, with the row index below
     # them, so that a bucket's rows come in ascending order
-    pos = np.arange(k)
-    keys = sets[0] & np.uint64((1 << window) - 1)
-    ranked = np.sort(keys << ROW_BITS | pos.astype(np.uint64), axis=1)
+    ranked = sets[0] & np.uint64((1 << window) - 1)
+    ranked <<= np.uint64(ROW_BITS)
+    ranked |= np.arange(k, dtype=np.uint64)
+    ranked.sort(axis=1)
     # the batch's columns are indexed s * k + r: set s, row r
-    order = ((ranked & np.uint64(k - 1)).astype(np.intp) + k * np.arange(nb)[:, None]).ravel()
-    ranked = ranked.ravel() >> ROW_BITS
-    same = ranked[1:] == ranked[:-1]
-    same[k - 1::k] = False
+    order = (ranked & np.uint64(k - 1)).astype(np.intp)
+    order += np.arange(0, nb * k, k)[:, None]
+    order = order.ravel()
+    ranked = ranked.ravel()
+    ranked >>= np.uint64(ROW_BITS)
+    # same[p]: sorted position p extends the bucket of position p - 1; each
+    # set's first row starts one
+    same = np.zeros(nb * k, dtype=bool)
+    np.equal(ranked[1:], ranked[:-1], out=same[1:])
+    same[::k] = False
     # the sorted positions that extend a bucket, and how many places back
     # each one's bucket starts: it pairs with every position in between
-    at = np.flatnonzero(same) + 1
+    at = np.flatnonzero(same)
     run = np.arange(len(at))
-    depth = run + 1 - np.maximum.accumulate(np.where(np.diff(at, prepend=-1) != 1, run, 0))
+    depth = run + 1 - np.maximum.accumulate(np.where(same[at - 1], 0, run))
     columns = sets.reshape(n_words, nb * k)
-    code = np.full(nb, np.iinfo(np.int64).max)
+    code = np.full(nb, NO_PAIR)
     # the positions are taken in chunks of about PAIR_CHUNK pairs
     ends = np.cumsum(depth)
     firsts = np.searchsorted(ends, np.arange(0, depth.sum(), PAIR_CHUNK), side="right").tolist()
@@ -163,11 +183,19 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
         t = depth[lo:hi]
         later = np.repeat(at[lo:hi], t)
         back = np.arange(1, len(later) + 1) - np.repeat(np.cumsum(t) - t, t)
-        early, late = order[later - back], order[later]
-        pair = columns.take(early, axis=1) ^ columns.take(late, axis=1)
-        pw = np.bitwise_count(pair).sum(axis=0, dtype=np.int64)
-        s = late // k
-        np.minimum.at(code, s, ((pw + 2) * k + late - s * k) * k + early - s * k)
+        late = order[later]
+        later -= back
+        early = order[later]
+        pair = columns.take(early, axis=1)
+        pair ^= columns.take(late, axis=1)
+        # (weight + 2, later row, earlier row) as one int64 code, per set
+        pw = np.bitwise_count(pair).sum(axis=0, dtype=np.uint16).astype(np.int64)
+        pw += 2
+        pw *= k
+        pw += late & (k - 1)
+        pw *= k
+        pw += early & (k - 1)
+        np.minimum.at(code, late >> ROW_BITS, pw)
     for s, c in enumerate(code.tolist()):
         if c // (k * k) < best[s][0]:
             best[s] = (c // (k * k), (c % k, c // k % k))
@@ -186,6 +214,13 @@ def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> t
     return tuple(np.packbits(orig, bitorder="little").view("<u4").tolist())
 
 
+def _pipe() -> tuple[io.FileIO, io.FileIO]:
+    """An os.pipe as unbuffered (read end, write end) files: a read or write
+    is one system call, and closing a file twice closes its descriptor once."""
+    read_end, write_end = os.pipe()
+    return open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
+
+
 def chain_search(
     g: GeneratorMatrix,
     chain_seed: int,
@@ -201,22 +236,28 @@ def chain_search(
     starts from a shuffled column order's systematic form.  Each iteration
     makes one single-column swap and copies the information set it leaves
     into a batch, which is weighed as _weigh says, on the fixed WINDOW-bit
-    Stern window, when it fills and when the loop ends; the chain keeps the
-    first candidate strictly lighter than the best so far, in iteration
-    order.  The deadline is checked from the second iteration on, so a chain
-    whose setup outlasts its time slice still weighs one set.
+    Stern window; the chain keeps the first candidate strictly lighter than
+    the best so far, in iteration order.  The deadline is checked from the
+    second iteration on, so a chain whose setup outlasts its time slice
+    still weighs one set.
 
-    The chain is split over up to forks.usable_cpus() processes, P in all.
-    The systematic form is built once; then each process replays the same
-    seeded chain of swaps, which is cheap and deterministic, but copies and
-    weighs only the batches whose index is its own modulo P.  Each keeps
+    The weighing is split over up to forks.usable_cpus() processes, P in
+    all.  The calling process runs the chain, the only one that swaps: it
+    copies each set and its perm into a batch slot of a ring in shared
+    memory (P + 1 slots, or one when P is 1), made before P - 1 weighers are
+    forked.  A full batch goes to the weighers through one pipe, as its slot
+    and first iteration, if a slot is free to fill next; the weighers hand
+    weighed slots back through a second pipe.  When no slot is free the
+    chain weighs the full batch itself, and it always weighs the last one,
+    after it has closed the ring and weighed what the weighers had not yet
+    taken.  Every weigher, and the chain on its own batches and on those it
+    takes off the ring, weighs batches in increasing order and keeps
     (iteration, weight, word) for every set strictly lighter than its own
-    running best, and the records are merged in iteration order by the
-    chain's own rule.  That is exact: a set that beats the chain's running
-    best also beats its own process's.  Under a deadline each process stops
-    on its own; the chain reports the fewest iterations any process ran,
-    which some process weighed every one of, and drops the records at or
-    past it.  On one usable CPU nothing is forked.
+    running best; the records merge in iteration order by the chain's own
+    rule.  That is exact: a set that beats the chain's running best also
+    beats each of those.  Under a deadline the search reports the chain's own
+    iteration count, since every set the chain made is weighed.  On one
+    usable CPU nothing is forked.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
@@ -225,60 +266,92 @@ def chain_search(
     red = _systematic(g.words, perm, k, n, rng)
     perm = np.array(perm, dtype=np.min_scalar_type(n))     # uint16: batched copies stay small
     size = max(1, BATCH_BYTES // red.nbytes)
-    # Every process replays all of the swaps, about 40% of a one-process run
-    # at 40 steps (24 of 61 ms on a 2-vCPU VM), so P processes take at least
-    # 0.4 + 0.6 / P of its time: a fifth would save 3% of it, less than a
-    # forked child's start-up.  Nor is a process forked without a batch.
-    parts = min(forks.usable_cpus(), MAX_REPLAYS, -(-iterations // size))
+    # no process is forked without a batch to weigh
+    procs = min(forks.usable_cpus(), MAX_PROCS, -(-iterations // size))
+    slots = procs + 1 if procs > 1 else 1
+    # anonymous shared memory, which fork maps into the weighers; it is
+    # unmapped with the last array that views it
+    ring = mmap.mmap(-1, slots * size * (red.nbytes + perm.nbytes))
+    sets = np.frombuffer(ring, red.dtype, slots * size * red.size).reshape(slots, len(red), size, k)
+    perms = np.frombuffer(ring, perm.dtype, slots * size * n, sets.nbytes).reshape(slots, size, n)
+    filled_r, filled_w = _pipe()        # (slot, first iteration) of each full batch
+    freed_r, freed_w = _pipe()          # one byte per weighed slot
+    done = 0
 
-    def replay(part: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
-        """(iterations done, records) of the process that weighs `part`."""
-        best_w, records = incumbent, []
-        # each batched set is kept with its perm, to build a word from it later
-        sets = np.empty((len(red), size, k), dtype=red.dtype)
-        perms = np.empty((size, n), dtype=perm.dtype)
-        its: list[int] = []
+    def weigh(records: Records, slot: int, first: int, count: int) -> None:
+        """Weigh a slot's first `count` sets, from iteration `first` on, and
+        record each one strictly lighter than the records' last."""
+        best_w = records[-1][1] if records else incumbent
+        batch = sets[slot]
+        for i, (w, rows) in enumerate(_weigh(batch[:, :count], WINDOW)):
+            if best_w is None or w < best_w:
+                best_w = w
+                records.append((first + i, w, _word(batch[:, i], perms[slot, i], rows, n)))
 
-        def weigh_batch() -> None:
-            nonlocal best_w
-            for slot, (w, rows) in enumerate(_weigh(sets[:, :len(its)], WINDOW)):
-                if best_w is None or w < best_w:
-                    best_w = w
-                    records.append((its[slot], w, _word(sets[:, slot], perms[slot], rows, n)))
-            its.clear()
+    def serve() -> Records:
+        """Weigh full batches off the ring until the chain has closed it."""
+        records: Records = []
+        while message := filled_r.read(FILLED.size):
+            slot, first = FILLED.unpack(message)
+            weigh(records, slot, first, size)
+            freed_w.write(bytes([slot]))
+        return records
 
-        done = 0
-        for it in range(iterations):
-            if deadline is not None and it and time.monotonic() > deadline:
-                break
-            done = it + 1
-            # the single-column swap: a redundancy column q and an information
-            # column j where row j has bit q.  The draws end, as some redundancy
-            # column is non-zero: W16's 32 bits are non-zero functions of the
-            # message for both XOR kinds, and 512 + 32 exceeds an information set.
-            while True:
-                q = rng.randrange(k, n)
-                j = rng.randrange(k)
-                wq, sq = (q - k) >> 6, (q - k) & 63
-                if red.item(wq, j) >> sq & 1:
+    def chain() -> Records:
+        """Run the chain, weighing what the weighers cannot take."""
+        nonlocal done
+        records: Records = []
+        free = list(range(1, slots))
+        slot, filled = 0, 0
+        try:
+            for it in range(iterations):
+                if deadline is not None and it and time.monotonic() > deadline:
                     break
-            perm[j], perm[q] = perm[q], perm[j]
-            _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
-            if it // size % parts == part:
-                sets[:, len(its)] = red
-                perms[len(its)] = perm
-                its.append(it)
-                if len(its) == size:
-                    weigh_batch()
-        if its:
-            weigh_batch()
-        return done, records
+                done = it + 1
+                # the single-column swap: a redundancy column q and an information
+                # column j where row j has bit q.  The draws end, as some redundancy
+                # column is non-zero: W16's 32 bits are non-zero functions of the
+                # message for both XOR kinds, and 512 + 32 exceeds an information set.
+                while True:
+                    q = rng.randrange(k, n)
+                    j = rng.randrange(k)
+                    wq, sq = (q - k) >> 6, (q - k) & 63
+                    if red.item(wq, j) >> sq & 1:
+                        break
+                perm[j], perm[q] = perm[q], perm[j]
+                _swap(red, (red[wq] >> sq) & 1, j, wq, sq)
+                sets[slot, :, filled] = red
+                perms[slot, filled] = perm
+                filled += 1
+                if filled == size and done < iterations:
+                    free.extend(freed_r.read(slots) or b"")
+                    if free:
+                        filled_w.write(FILLED.pack(slot, done - size))
+                        slot = free.pop()
+                    else:
+                        weigh(records, slot, done - size, size)
+                    filled = 0
+        finally:
+            filled_w.close()
+        # batches still on the ring may precede some that the chain weighed
+        # itself, so they keep records of their own
+        drained = serve()
+        if filled:
+            weigh(records, slot, done - filled, filled)
+        return records + drained
 
-    runs = forks.forked(replay, range(parts))
-    done = min(d for d, _ in runs)
+    def work(part: int) -> Records:
+        """Records of the process that runs `part`: the last part is the chain."""
+        if part < procs - 1:
+            filled_w.close()        # so that the ring closes when the chain closes it
+            return serve()
+        return chain()
+
+    with filled_r, filled_w, freed_r, freed_w:
+        os.set_blocking(freed_r.fileno(), False)
+        runs = forks.forked(work, range(procs))
     best_w, best_words, found_at = incumbent, None, None
-    for it, w, words in sorted((r for _, records in runs for r in records if r[0] < done),
-                               key=lambda r: r[0]):
+    for it, w, words in sorted((r for records in runs for r in records), key=lambda r: r[0]):
         if best_w is None or w < best_w:
             best_w, best_words, found_at = w, tuple(words), it
     return best_w, best_words, found_at, done

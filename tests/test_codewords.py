@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+import select
 from random import Random
 
 import numpy as np
@@ -236,12 +237,42 @@ def clustered_sets(rng):
     return bases[:, :, rng.integers(0, 8, 512)] ^ sparse((3, 4, 512), 5)
 
 
+def random_sets(rng, n_words, nb):
+    """A (n_words, nb, 512) batch of uniformly random redundancy parts."""
+    return rng.integers(0, 1 << 64, (n_words, nb, 512), dtype=np.uint64)
+
+
 class TestBatchedWeighing:
     @pytest.mark.parametrize("window", [0, 1, 5, 12, 55])
     def test_matches_one_set_at_a_time(self, window):
         # 55 bits fill a sort key above the row index
         sets = clustered_sets(np.random.default_rng(window))
         assert isd._weigh(sets, window) == reference_weigh(sets, window)
+
+    @pytest.mark.parametrize("window", [0, 3, 12, 20])
+    def test_random_batches(self, window):
+        # uniform rows of two words and of one: a pair wins at windows 0 and
+        # 3 (at 0 every row pair is weighed), a single row mostly at 12 and 20
+        rng = np.random.default_rng(100 + window)
+        for sets in (random_sets(rng, 2, 3), random_sets(rng, 1, 5)):
+            assert isd._weigh(sets, window) == reference_weigh(sets, window)
+
+    def test_real_sparse_batch(self, monkeypatch):
+        # the first sets of sha1-xor's chain at 17 steps: one redundancy word,
+        # 464 of the first set's 512 rows zero on the window, so its largest
+        # bucket holds C(464, 2) pairs
+        batches, weigh = [], isd._weigh
+
+        def keep(sets, window):
+            batches.append(sets.copy())
+            return weigh(sets, window)
+
+        monkeypatch.setattr(isd, "_weigh", keep)
+        isd.chain_search(build_generator(SHA1_XOR, 17), 0, 4, None, None)
+        (sets,) = batches
+        assert sets.shape == (1, 4, 512)
+        assert int((sets[0, 0] & np.uint64((1 << isd.WINDOW) - 1) == 0).sum()) == 464
+        assert isd._weigh(sets, isd.WINDOW) == reference_weigh(sets, isd.WINDOW)
 
     def test_bucket_of_many_pair_chunks(self):
         # at the chains' window, one set's first 250 rows share their window
@@ -461,7 +492,8 @@ class TestSystematic:
 
 
 class TestSplit:
-    """A chain weighed in forked replays finds what one process finds."""
+    """A chain whose batches forked weighers take off its ring finds what one
+    process finds."""
 
     CASES = [
         pytest.param(XOR, 40, dict(iterations=1000, seed=0), (316, 702, "01d8b95e2d026def", 1000),
@@ -491,11 +523,11 @@ class TestSplit:
         assert_reaped(forks)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_deadline_reports_iterations_every_process_ran(self, monkeypatch, forks, cpus):
-        # a clock that ticks once per deadline check in the caller and twice in
-        # a child: at deadline 300 the caller runs 301 iterations and each child
-        # 151, and the chain is the one-process chain of 151 iterations.  With
-        # two processes the caller weighs a lighter set at 223, which is dropped
+    def test_deadline_reports_the_chains_iterations(self, monkeypatch, forks, cpus):
+        # a clock that ticks once per deadline check in the caller and twice
+        # in a child: at deadline 300 the chain runs 301 iterations, and every
+        # set it made is weighed.  No weigher reads the clock (a child that
+        # ran the chain itself would stop after 151)
         caller = os.getpid()
         ticks = [0]
 
@@ -506,14 +538,95 @@ class TestSplit:
                 return ticks[0]
 
         g = build_generator(XOR, 40)
-        params = SearchParams(iterations=1, seed=0)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
         monkeypatch.setattr(isd, "time", Clock)
         split = isd.chain_search(g, 0, 1 << 62, 300, None)
-        assert split[3] == 151 and len(forks) == cpus - 1
+        assert split[3] == 301 and len(forks) == cpus - 1
         assert_reaped(forks)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
-        assert split == isd.chain_search(g, 0, 151, None, None)
+        assert split == isd.chain_search(g, 0, 301, None, None)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_only_the_caller_swaps(self, monkeypatch, forks, cpus):
+        # every swap, the systematic form's pivots and one per iteration, is
+        # made in the caller; a swap in a weigher would fail that child
+        caller, swap, systematic = os.getpid(), isd._swap, isd._systematic
+        swaps, pivots = [0], []
+
+        def counting(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("a weigher swapped")
+            swaps[0] += 1
+            return swap(*args)
+
+        def counting_pivots(*args):
+            red = systematic(*args)
+            pivots.append(swaps[0])
+            return red
+
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
+        monkeypatch.setattr(isd, "_swap", counting)
+        monkeypatch.setattr(isd, "_systematic", counting_pivots)
+        res = low_weight_search(build_generator(XOR, 40), SearchParams(iterations=1000, seed=0))
+        assert (res.weight, res.found_at_iteration) == (316, 702)
+        assert len(forks) == cpus - 1
+        assert_reaped(forks)
+        (pivoted,) = pivots
+        assert pivoted > 0 and swaps[0] == pivoted + 1000
+
+    def test_batches_left_on_the_ring_keep_their_own_records(self, monkeypatch, forks):
+        # the weigher waits at a gate, so the chain weighs its third batch of
+        # 195 sets itself, then takes the first off the ring, and only then
+        # opens the gate.  Every set of this code has a weight-1 row, so the
+        # chain's own records already weigh 1 by then: the find at iteration
+        # 0 survives only because the batches taken off the ring keep records
+        # of their own
+        gate_r, gate_w = os.pipe()
+        fork, weigh, calls = os.fork, isd._weigh, []
+
+        def gated_fork():
+            pid = fork()
+            if pid == 0:
+                os.close(gate_w)
+                select.select([gate_r], [], [], 10)     # until the gate closes
+            return pid
+
+        def opening(sets, window):
+            calls.append(sets.shape[1])
+            if len(calls) == 2:
+                os.close(gate_w)
+            return weigh(sets, window)
+
+        monkeypatch.setattr(os, "fork", gated_fork)
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
+        monkeypatch.setattr(isd, "_weigh", opening)
+        try:
+            w, words, found_at, done = isd.chain_search(build_generator(SHA1_XOR, 17), 0, 700,
+                                                        None, None)
+        finally:
+            os.close(gate_r)
+            if len(calls) < 2:
+                os.close(gate_w)
+        assert (w, found_at, word_hash(words), done) == (1, 0, "cd0dd3ede3ae05b8", 700)
+        assert calls[:2] == [195, 195]
+        assert_reaped(forks)
+
+    def test_weigher_failure_still_reaps_children(self, monkeypatch, forks):
+        # the weighers fail on the first batch they take; the chain weighs
+        # the rest itself, and the caller then raises the weighers' failure
+        caller, weigh = os.getpid(), isd._weigh
+
+        def failing(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("weigher failed")
+            return weigh(*args)
+
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 3)
+        monkeypatch.setattr(isd, "_weigh", failing)
+        with pytest.raises(RuntimeError, match=r"forked child \d+ failed: RuntimeError: weigher failed"):
+            low_weight_search(build_generator(XOR, 40), SearchParams(iterations=1000, seed=0))
+        assert len(forks) == 2
+        assert_reaped(forks)
 
     def test_caller_failure_still_reaps_children(self, monkeypatch, forks):
         caller, weigh = os.getpid(), isd._weigh
