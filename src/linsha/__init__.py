@@ -24,7 +24,7 @@ _API = {name: module for module, names in (
                    "big_sigma1 small_sigma0 small_sigma1"),
     ("variants", "VariantConfig make_variant"),
     ("ringalg", "solve_disturbance_kernel"),
-    ("disturbance", "CORRECTION_COEFFS build_characteristic find_collision_add_linear propagate"),
+    ("disturbance", "CORRECTION_COEFFS find_collision_add_linear propagate"),
     ("boolanalysis", "FirstStepsError boolean_diff_table derive_activity "
                      "isolated_condition_count monte_carlo_local_collision msb_disturbance "
                      "satisfy_first16"),

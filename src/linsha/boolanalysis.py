@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from . import forks
 from .primitives import (FIPS_IV, K, M32, ExpansionKind, RegisterState, as_block, ch, expand, maj,
                          step)
-from .disturbance import build_characteristic, superpose
+from .disturbance import propagate, superpose
 from .variants import make_variant
 
 if TYPE_CHECKING:
@@ -129,14 +129,14 @@ def msb_disturbance(delta: Sequence[int]) -> tuple[tuple[int, ...], str]:
 def _designed_diffs(dstar: Sequence[int]) -> tuple[RegisterState, ...]:
     """Designed register differences entering each step of an MSB-only dstar.
 
-    Row s of the add-linear table of dstar is the designed difference entering
+    Row s of the add-linear register table of superpose(dstar) is the designed difference entering
     step s.  It sums odd and even multiples of the MSB; the even ones vanish,
     so every entry is exactly 0 or the MSB.
     """
     words = list(dstar)
     if any(w not in (0, MSB) for w in words):
         raise ValueError("activity derivation expects an MSB-only disturbance")
-    return build_characteristic(words).register_diffs
+    return propagate(superpose(words))
 
 
 class ActivityRow(NamedTuple):

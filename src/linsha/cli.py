@@ -243,7 +243,7 @@ def cmd_search(args) -> tuple[Any, str, int]:
     if args.out:
         write_codeword_file(args.out, res.words, (
             f"weight {res.weight} at {res.n_steps} steps, kind {kind.value}",
-            f"seed {res.seed}, {res.iterations_run} iterations, origin {res.origin}"))
+            f"seed {args.seed}, {res.iterations_run} iterations, origin {res.origin}"))
     result = {"weight": res.weight, "words": _hexlist(res.words),
               "steps": res.n_steps, "kind": kind.value, "iterations_run": res.iterations_run,
               "found_at_iteration": res.found_at_iteration, "origin": res.origin,
@@ -254,14 +254,14 @@ def cmd_search(args) -> tuple[Any, str, int]:
 
 
 def cmd_verify_word(args) -> tuple[Any, str, int]:
-    from .codewords import load_codeword_file, resolve_word_order, zero_band_report
+    from .codewords import load_codeword_file, resolve_word_order
     kind = ExpansionKind(args.kind)
     words = load_codeword_file(args.file)
     resolved, order, valid, weight = resolve_word_order(words, kind)
     if args.steps is not None and len(resolved) != args.steps:
         raise ValueError(f"file has {len(resolved)} words, expected {args.steps}")
     result = {"valid": valid, "weight": weight, "order": order,
-              "support": zero_band_report(resolved)["support"]}
+              "support": [i for i, w in enumerate(resolved) if w]}
     human = f"{args.file}: valid={valid} weight={weight} (read order: {order})"
     return result, human, 0 if valid else 1
 

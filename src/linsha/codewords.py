@@ -90,12 +90,10 @@ def single_bit_census(kind: ExpansionKind, n_steps: int) -> tuple[int, int]:
 
 
 def verify_codeword(
-    words: Sequence[int], kind: ExpansionKind = ExpansionKind.SHA256_XOR, n_steps: int | None = None
+    words: Sequence[int], kind: ExpansionKind = ExpansionKind.SHA256_XOR
 ) -> tuple[bool, int]:
     """(valid, weight): validity means the XOR recurrence holds from step 16 on."""
     ws = list(words)
-    if n_steps is not None and len(ws) != n_steps:
-        raise ValueError(f"expected {n_steps} words, got {len(ws)}")
     if len(ws) < 16:
         raise ValueError("need at least 16 words")
     recurrence = expand(ws[:16], kind, len(ws))
@@ -145,7 +143,6 @@ class SearchResult(NamedTuple):
     words: tuple[int, ...]
     weight: int
     n_steps: int
-    seed: int
     iterations_run: int
     found_at_iteration: int | None       # None: no chain iteration found the word
     origin: str                          # "search" or "bootstrap(<n>)"
@@ -199,7 +196,7 @@ def _search_from(
     if g.n_bits == 512:
         # no redundancy, every vector is a codeword; a unit vector is minimal
         words = tuple([1] + [0] * (g.n_steps - 1))
-        return SearchResult(words, 1, g.n_steps, params.seed, 0, None, "search")
+        return SearchResult(words, 1, g.n_steps, 0, None, "search")
 
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
@@ -214,8 +211,7 @@ def _search_from(
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
-    return SearchResult(best_words, weight, g.n_steps, params.seed, iters_done, found_at,
-                        origin)
+    return SearchResult(best_words, weight, g.n_steps, iters_done, found_at, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +261,6 @@ def resolve_word_order(
         if valid:
             return seq, label, True, weight
     return ws, "as-given", False, seq_weight(ws)
-
-
-def zero_band_report(words: Sequence[int]) -> dict:
-    """Support structure of a word: does one 16-word window hold all of it?"""
-    support = [i for i, w in enumerate(words) if w]
-    if not support:
-        return {"support": [], "single_window": True}
-    span = support[-1] - support[0] + 1
-    return {"support": support, "single_window": span <= 16}
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,6 @@ from .variants import make_variant
 CORRECTION_COEFFS: tuple[int, ...] = (-4, 2, 2, 4, 2, 1, 0, -1)
 
 
-class Characteristic(NamedTuple):
-    expanded_diff: tuple[int, ...]
-    register_diffs: tuple[tuple[int, ...], ...]
-
-
 def propagate(delta_w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Exact register-difference table of the fully linear add_linear variant.
 
@@ -61,17 +56,11 @@ def superpose(delta: Sequence[int], coeffs: Sequence[int] = CORRECTION_COEFFS) -
     return tuple(c)
 
 
-def build_characteristic(delta: Sequence[int]) -> Characteristic:
-    """The words superpose(delta) with their register-difference table."""
-    c = superpose(delta)
-    return Characteristic(c, propagate(c))
-
-
 @lru_cache(maxsize=1)
 def single_disturbance_table() -> tuple[RegisterState, ...]:
     """Register differences k steps after one unit disturbance with its
     corrections, for k = 0..16: the table that every disturbance scales."""
-    return build_characteristic([1] + [0] * 15).register_diffs
+    return propagate(superpose([1] + [0] * 15))
 
 
 def expansion_mismatches(words: Sequence[int]) -> list[int]:
@@ -143,7 +132,7 @@ def find_collision_add_linear(
     that is the only way the cancellation can break.  A multiple that scales
     delta to zero would pair m with itself and is rejected.  The
     characteristic's 64 words depend only on (multiple, strict) and are built
-    once per pair, without the register table that build_characteristic adds;
+    once per pair, without the register table that propagate would add;
     both compressions and the digest check run on every call.
     """
     block = as_block(m)

@@ -47,10 +47,6 @@ WINDOW = 12                 # Stern window: the leading redundancy bits a row pa
 NO_PAIR = 1 << 62           # a set's pair code before any pair: above every (weight, row, row) code
 FILLED = struct.Struct("<2q")  # a full batch on the ring: (slot, first iteration)
 
-# (iteration, weight, word) of each set lighter than a process's running best
-Records = list[tuple[int, int, tuple[int, ...]]]
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
     """(rows, n) 0/1 uint8 -> (rows, ceil(n/64)) little-endian uint64."""
     packed = np.packbits(bits, axis=1, bitorder="little")
@@ -66,7 +62,7 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
 
 def _permuted(packed: np.ndarray, perm: list[int]) -> np.ndarray:
     """Word-major array whose bit p of row r is bit perm[p] of row r of
-    `packed` (row-major uint64 rows, or the generator's uint32 ones)."""
+    `packed`, row-major uint64 rows."""
     out = np.empty((-(-len(perm) // 64), len(packed)), dtype="<u8")
     for r in range(0, len(packed), 64):       # blocks keep the unpacked bits small
         bits = np.unpackbits(packed[r:r + 64].view(np.uint8), axis=1, bitorder="little")
@@ -236,9 +232,9 @@ def chain_search(
     starts from a shuffled column order's systematic form.  Each iteration
     makes one single-column swap and copies the information set it leaves
     into a batch, which is weighed as _weigh says, on the fixed WINDOW-bit
-    Stern window; the chain keeps the first candidate strictly lighter than
-    the best so far, in iteration order.  The deadline is checked from the
-    second iteration on, so a chain whose setup outlasts its time slice
+    Stern window.  The chain's find is the least (weight, iteration) over
+    its sets: the first set of least weight.  The deadline is checked from
+    the second iteration on, so a chain whose setup outlasts its time slice
     still weighs one set.
 
     The weighing is split over up to forks.usable_cpus() processes, P in
@@ -250,14 +246,11 @@ def chain_search(
     weighed slots back through a second pipe.  When no slot is free the
     chain weighs the full batch itself, and it always weighs the last one,
     after it has closed the ring and weighed what the weighers had not yet
-    taken.  Every weigher, and the chain on its own batches and on those it
-    takes off the ring, weighs batches in increasing order and keeps
-    (iteration, weight, word) for every set strictly lighter than its own
-    running best; the records merge in iteration order by the chain's own
-    rule.  That is exact: a set that beats the chain's running best also
-    beats each of those.  Under a deadline the search reports the chain's own
-    iteration count, since every set the chain made is weighed.  On one
-    usable CPU nothing is forked.
+    taken.  Each process keeps the least (weight, iteration, word) of the
+    sets it weighed, and the least of those is the find, whoever weighed
+    which batch in whatever order.  Under a deadline the search reports the
+    chain's own iteration count, since every set the chain made is weighed.
+    On one usable CPU nothing is forked.
     """
     k, n = 512, g.n_bits
     rng = Random(chain_seed)
@@ -277,30 +270,28 @@ def chain_search(
     filled_r, filled_w = _pipe()        # (slot, first iteration) of each full batch
     freed_r, freed_w = _pipe()          # one byte per weighed slot
     done = 0
+    # this process's (weight, iteration, word); no codeword weighs n + 1
+    best = (n + 1 if incumbent is None else incumbent, -1, None)
 
-    def weigh(records: Records, slot: int, first: int, count: int) -> None:
-        """Weigh a slot's first `count` sets, from iteration `first` on, and
-        record each one strictly lighter than the records' last."""
-        best_w = records[-1][1] if records else incumbent
+    def weigh(slot: int, first: int, count: int) -> None:
+        """Weigh a slot's first `count` sets, from iteration `first` on."""
+        nonlocal best
         batch = sets[slot]
         for i, (w, rows) in enumerate(_weigh(batch[:, :count], WINDOW)):
-            if best_w is None or w < best_w:
-                best_w = w
-                records.append((first + i, w, _word(batch[:, i], perms[slot, i], rows, n)))
+            if (w, first + i) < best[:2]:
+                best = (w, first + i, _word(batch[:, i], perms[slot, i], rows, n))
 
-    def serve() -> Records:
+    def serve() -> tuple:
         """Weigh full batches off the ring until the chain has closed it."""
-        records: Records = []
         while message := filled_r.read(FILLED.size):
             slot, first = FILLED.unpack(message)
-            weigh(records, slot, first, size)
+            weigh(slot, first, size)
             freed_w.write(bytes([slot]))
-        return records
+        return best
 
-    def chain() -> Records:
+    def chain() -> tuple:
         """Run the chain, weighing what the weighers cannot take."""
         nonlocal done
-        records: Records = []
         free = list(range(1, slots))
         slot, filled = 0, 0
         try:
@@ -329,19 +320,17 @@ def chain_search(
                         filled_w.write(FILLED.pack(slot, done - size))
                         slot = free.pop()
                     else:
-                        weigh(records, slot, done - size, size)
+                        weigh(slot, done - size, size)
                     filled = 0
         finally:
             filled_w.close()
-        # batches still on the ring may precede some that the chain weighed
-        # itself, so they keep records of their own
-        drained = serve()
+        serve()
         if filled:
-            weigh(records, slot, done - filled, filled)
-        return records + drained
+            weigh(slot, done - filled, filled)
+        return best
 
-    def work(part: int) -> Records:
-        """Records of the process that runs `part`: the last part is the chain."""
+    def work(part: int) -> tuple:
+        """The best of the process that runs `part`: the last part is the chain."""
         if part < procs - 1:
             filled_w.close()        # so that the ring closes when the chain closes it
             return serve()
@@ -350,8 +339,7 @@ def chain_search(
     with filled_r, filled_w, freed_r, freed_w:
         os.set_blocking(freed_r.fileno(), False)
         runs = forks.forked(work, range(procs))
-    best_w, best_words, found_at = incumbent, None, None
-    for it, w, words in sorted((r for records in runs for r in records), key=lambda r: r[0]):
-        if best_w is None or w < best_w:
-            best_w, best_words, found_at = w, tuple(words), it
-    return best_w, best_words, found_at, done
+    w, found_at, words = min(tuple(run) for run in runs)
+    if words is None:
+        return incumbent, None, None, done
+    return w, tuple(words), found_at, done

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from linsha.isd import _permuted
 from linsha.primitives import M32, ExpansionKind, expand, rotl
 from linsha.ringalg import WordMatrix, backward_words
 
@@ -161,9 +160,15 @@ def systematic_by_elimination(
     random redundancy column rng.randrange(k, n) until one has a pivot, and
     perm records every swap.  Positions 0..k-1 then hold the identity, so
     only the word-major words of columns k.. are returned (k is a multiple
-    of 64).
+    of 64).  The permuted generator is built here, bit by bit, not by the
+    packing that `linsha.isd` uses.
     """
-    arr = _permuted(gen, perm)
+    # bit p of row r is bit perm[p] of generator row r; word-major uint64
+    # words: element [w, r] holds bits 64w..64w+63 of row r
+    bits = np.unpackbits(gen.view(np.uint8), axis=1, bitorder="little")
+    padded = np.zeros((len(gen), 64 * -(-n // 64)), dtype=np.uint8)
+    padded[:, :n] = bits[:, perm]
+    arr = np.packbits(padded, axis=1, bitorder="little").view("<u8").T.copy()
     for i in range(k):
         wi, si = i >> 6, i & 63
         while True:

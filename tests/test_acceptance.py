@@ -56,9 +56,10 @@ from linsha.codewords import (
 )
 from linsha.disturbance import (
     CollisionError,
-    build_characteristic,
     find_collision_add_linear,
+    propagate,
     random_block,
+    superpose,
 )
 from linsha.primitives import (
     FIPS_IV,
@@ -105,7 +106,7 @@ def test_c02_correction_multiplier_table():
         value = rng.getrandbits(32)
         probe = [0] * 24
         probe[8] = value
-        rows = build_characteristic(probe).register_diffs
+        rows = propagate(superpose(probe))
         for off, multipliers in OFFSET_MULTIPLIERS.items():
             expected = tuple((multipliers.get(reg, 0) * value) & M32 for reg in "abcdefgh")
             assert rows[8 + off] == expected
@@ -281,8 +282,8 @@ def test_c10_printed_word_authenticates():
     raw = load_codeword_file(str(DATA / "table5.hex"))
     words, order, valid, w = resolve_word_order(raw)
     assert valid and w == 26
-    revalid, reweight = verify_codeword(words, ExpansionKind.SHA256_XOR, 40)
-    assert revalid and reweight == 26
+    revalid, reweight = verify_codeword(words, ExpansionKind.SHA256_XOR)
+    assert revalid and reweight == 26 and len(words) == 40
 
 
 def test_c11_search_effectiveness():
@@ -306,8 +307,8 @@ def test_c11_search_effectiveness():
     weights = [r.weight for r in rows]
     assert weights == sorted(weights)
     for r in rows:
-        valid, w = verify_codeword(r.words, ExpansionKind.SHA256_XOR, r.steps)
-        assert valid and w == r.weight
+        valid, w = verify_codeword(r.words, ExpansionKind.SHA256_XOR)
+        assert valid and w == r.weight and len(r.words) == r.steps
     assert time.monotonic() - t0 < 600.0
 
 

@@ -46,6 +46,7 @@ def test_verify_word_payload(capsys, table5_path):
     assert report["result"]["valid"] is True
     assert report["result"]["weight"] == 26
     assert report["result"]["order"] == "column-major,bit-reversed"
+    assert report["result"]["support"] == [0, 9, 10, 11, 12, 13, 17, 18, 25, 27]
 
 
 def test_verify_word_invalid_exits_one(capsys, tmp_path):
@@ -236,6 +237,8 @@ def test_search_roundtrip_through_file(capsys, tmp_path):
     code, report, _ = run(capsys, "search", "--steps", "18", "--iterations", "200",
                           "--out", str(out))
     assert code == 0
+    assert out.read_text().splitlines()[:2] == ["# weight 1 at 18 steps, kind sha256-xor",
+                                                "# seed 0, 200 iterations, origin search"]
     code2, report2, _ = run(capsys, "verify-word", "--file", str(out))
     assert code2 == 0
     assert report2["result"]["weight"] == report["result"]["weight"]

@@ -24,7 +24,6 @@ from linsha.codewords import (
     sweep_csv,
     verify_codeword,
     write_codeword_file,
-    zero_band_report,
 )
 from linsha.primitives import ExpansionKind, expand, seq_weight
 from conftest import assert_reaped
@@ -110,8 +109,8 @@ class TestCensus:
 
 class TestVerification:
     def test_reference_word_is_valid(self, table5_words):
-        valid, weight = verify_codeword(table5_words, XOR, 40)
-        assert valid and weight == 26
+        valid, weight = verify_codeword(table5_words, XOR)
+        assert valid and weight == 26 and len(table5_words) == 40
 
     def test_bit_flip_invalidates(self, table5_words):
         tampered = list(table5_words)
@@ -119,20 +118,11 @@ class TestVerification:
         valid, weight = verify_codeword(tampered, XOR)
         assert not valid and weight == 27
 
-    def test_length_mismatch_raises(self, table5_words):
-        with pytest.raises(ValueError):
-            verify_codeword(table5_words, XOR, 64)
-
     def test_rotation_is_not_closed(self, table5_words):
         # rotating every word by one breaks validity: the sigma shifts are not
         # rotation-equivariant, so the code has no rotational symmetry
         valid, _ = verify_codeword(rotate_words_left(table5_words, 1), XOR)
         assert not valid
-
-    def test_support_structure(self, table5_words):
-        report = zero_band_report(table5_words)
-        assert report["support"] == [0, 9, 10, 11, 12, 13, 17, 18, 25, 27]
-        assert report["single_window"] is False
 
 
 class TestExtension:
@@ -155,8 +145,8 @@ class TestExtension:
 
     def test_extension_preserves_validity(self, table5_words):
         ext = extend_codeword(table5_words, 64, XOR)
-        valid, _ = verify_codeword(ext, XOR, 64)
-        assert valid
+        valid, _ = verify_codeword(ext, XOR)
+        assert valid and len(ext) == 64
 
     def test_truncation_of_valid_word_is_valid(self, table5_words):
         valid, _ = verify_codeword(table5_words[:33], XOR)
@@ -358,8 +348,8 @@ class TestSearch:
     def test_bootstrap_produces_valid_incumbent(self):
         g = build_generator(XOR, 22)
         res = low_weight_search(g, SearchParams(iterations=40, seed=0, bootstrap_lengths=(20,)))
-        valid, w = verify_codeword(res.words, XOR, 22)
-        assert valid and w == res.weight
+        valid, w = verify_codeword(res.words, XOR)
+        assert valid and w == res.weight and len(res.words) == 22
 
     def test_bootstrap_length_validated(self):
         g = build_generator(XOR, 22)
@@ -371,8 +361,8 @@ class TestSearch:
         res = low_weight_search(build_generator(XOR, 42),
                                 SearchParams(budget_secs=0.5, bootstrap_lengths=(40,)))
         assert res.iterations_run >= 1
-        valid, w = verify_codeword(res.words, XOR, 42)
-        assert valid and w == res.weight
+        valid, w = verify_codeword(res.words, XOR)
+        assert valid and w == res.weight and len(res.words) == 42
 
     @pytest.mark.parametrize("n, params", [
         (40, SearchParams(budget_secs=1e-9)),
@@ -382,8 +372,8 @@ class TestSearch:
         # the chain's deadline passes during its setup, so it runs once
         res = low_weight_search(build_generator(XOR, n), params)
         assert res.iterations_run == 1
-        valid, w = verify_codeword(res.words, XOR, n)
-        assert valid and w == res.weight
+        valid, w = verify_codeword(res.words, XOR)
+        assert valid and w == res.weight and len(res.words) == n
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -422,8 +412,8 @@ class TestSweep:
         weights = [r.weight for r in rows]
         assert weights == sorted(weights)
         for r in rows:
-            valid, w = verify_codeword(r.words, XOR, r.steps)
-            assert valid and w == r.weight
+            valid, w = verify_codeword(r.words, XOR)
+            assert valid and w == r.weight and len(r.words) == r.steps
         assert {r.method for r in rows} <= {"searched", "extended"}
         assert rows[-1].method == "extended"
 
@@ -574,13 +564,13 @@ class TestSplit:
         (pivoted,) = pivots
         assert pivoted > 0 and swaps[0] == pivoted + 1000
 
-    def test_batches_left_on_the_ring_keep_their_own_records(self, monkeypatch, forks):
+    def test_drained_batches_before_the_chains_own_still_win_by_iteration(self, monkeypatch,
+                                                                           forks):
         # the weigher waits at a gate, so the chain weighs its third batch of
         # 195 sets itself, then takes the first off the ring, and only then
         # opens the gate.  Every set of this code has a weight-1 row, so the
-        # chain's own records already weigh 1 by then: the find at iteration
-        # 0 survives only because the batches taken off the ring keep records
-        # of their own
+        # chain's best already weighs 1 by then: the find at iteration 0
+        # wins, weighed later, because it is the earlier iteration
         gate_r, gate_w = os.pipe()
         fork, weigh, calls = os.fork, isd._weigh, []
 

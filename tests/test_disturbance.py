@@ -7,12 +7,12 @@ from linsha.disturbance import (
     CORRECTION_COEFFS,
     CollisionError,
     _kernel_words,
-    build_characteristic,
     expansion_mismatches,
     find_collision_add_linear,
     propagate,
     random_block,
     scaled_kernel,
+    superpose,
 )
 from linsha.primitives import (
     ExpansionKind,
@@ -61,7 +61,7 @@ class TestCharacteristic:
     def test_single_disturbance_footprint(self):
         probe = [0] * 24
         probe[8] = 1
-        c = build_characteristic(probe).expanded_diff
+        c = superpose(probe)
         nonzero = {j for j, x in enumerate(c) if x}
         assert nonzero == {8, 9, 10, 11, 12, 13, 14, 16}  # offsets 0..6 and 8
 
@@ -69,9 +69,7 @@ class TestCharacteristic:
         d1 = [rng.getrandbits(32) for _ in range(20)]
         d2 = [rng.getrandbits(32) for _ in range(20)]
         ds = [(a + b) & M32 for a, b in zip(d1, d2)]
-        c1 = build_characteristic(d1).expanded_diff
-        c2 = build_characteristic(d2).expanded_diff
-        cs = build_characteristic(ds).expanded_diff
+        c1, c2, cs = superpose(d1), superpose(d2), superpose(ds)
         assert tuple((a + b) & M32 for a, b in zip(c1, c2)) == cs
 
     def test_register_multipliers_exact(self, rng):
@@ -79,7 +77,7 @@ class TestCharacteristic:
             value = rng.getrandbits(32)
             probe = [0] * 24
             probe[8] = value
-            rows = build_characteristic(probe).register_diffs
+            rows = propagate(superpose(probe))
             for off, spec_row in OFFSET_MULTIPLIERS.items():
                 expected = tuple(
                     (spec_row.get(reg, 0) * value) & M32 for reg in "abcdefgh"
@@ -89,7 +87,7 @@ class TestCharacteristic:
     def test_cancellation_after_nine_steps(self):
         probe = [0] * 24
         probe[8] = 0xDEADBEEF
-        rows = build_characteristic(probe).register_diffs
+        rows = propagate(superpose(probe))
         for r in rows[17:]:
             assert all(x == 0 for x in r)
 
@@ -151,7 +149,7 @@ class TestCollisions:
 
         delta = solve_disturbance_kernel(strict=True)[0]
         disturbance = build_E().vec(delta)
-        c = build_characteristic(disturbance).expanded_diff
+        c = superpose(disturbance)
         res = find_collision_add_linear(random_block(rng), 1, strict=True)
         applied = tuple((b - a) & M32 for a, b in zip(res.message, res.message_prime))
         assert applied == tuple(c[:16])
@@ -170,7 +168,7 @@ class TestCollisions:
     def _check_cached_characteristic(m, strict, multiples):
         cfg = make_variant("add_linear")
         for multiple in multiples:
-            c = build_characteristic(build_E().vec(scaled_kernel(multiple, strict))).expanded_diff
+            c = superpose(build_E().vec(scaled_kernel(multiple, strict)))
             assert _kernel_words(multiple, strict) == c
             m2 = tuple((a + d) & M32 for a, d in zip(m, c[:16]))
             digest_delta = compress(FIPS_IV, m2, cfg).sub(compress(FIPS_IV, m, cfg))
@@ -186,7 +184,7 @@ class TestCollisions:
 
     def test_collision_needs_no_register_table(self, rng, monkeypatch):
         # collide applies cached words only: the register-difference table
-        # that build_characteristic adds is never propagated on its path
+        # that propagate builds is never built on its path
         def refuse(*args):
             raise AssertionError("propagate called on the collision path")
 

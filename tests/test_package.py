@@ -11,8 +11,7 @@ PUBLIC = {
                    "big_sigma0", "big_sigma1", "small_sigma0", "small_sigma1"},
     "variants": {"VariantConfig", "make_variant"},
     "ringalg": {"solve_disturbance_kernel"},
-    "disturbance": {"CORRECTION_COEFFS", "build_characteristic", "find_collision_add_linear",
-                    "propagate"},
+    "disturbance": {"CORRECTION_COEFFS", "find_collision_add_linear", "propagate"},
     "boolanalysis": {"FirstStepsError", "boolean_diff_table", "derive_activity",
                      "isolated_condition_count", "monte_carlo_local_collision",
                      "msb_disturbance", "satisfy_first16"},
@@ -53,7 +52,6 @@ def test_layer_modules_resolve_and_unknown_names_raise():
 INSTANCES = {
     "VariantConfig": lambda: linsha.make_variant("standard"),
     "WordMatrix": lambda: linsha.ringalg.boundary_system()[0],
-    "Characteristic": lambda: linsha.build_characteristic([1] + [0] * 15),
     "CollisionResult": lambda: linsha.find_collision_add_linear([0] * 16, 1),
     "BooleanDiffEntry": lambda: linsha.boolean_diff_table()[0],
     "ActivityRow": lambda: linsha.derive_activity([0] * 16)[0],
