@@ -124,6 +124,13 @@ class TestVerification:
         valid, _ = verify_codeword(rotate_words_left(table5_words, 1), XOR)
         assert not valid
 
+    def test_support_structure(self, table5_words):
+        # the words that verify-word reports as the support; no 16-word
+        # window holds them all
+        support = [i for i, w in enumerate(table5_words) if w]
+        assert support == [0, 9, 10, 11, 12, 13, 17, 18, 25, 27]
+        assert support[-1] - support[0] + 1 > 16
+
 
 class TestExtension:
     def test_same_length_is_noop(self, table5_words):
