@@ -11,7 +11,9 @@ Bit 31 is also why the Monte Carlo is cheap: adding the MSB is XORing it,
 Σ0/Σ1 are identities and Maj/Ch act bitwise, so a difference injected at
 bit 31 never leaves bit 31 (Chabaud and Joux, CRYPTO 1998).  The paired run
 of every trial is the first run XOR an 8-bit pattern, one bit per register;
-the Monte Carlo steps the first run alone and carries that pattern.
+the Monte Carlo steps the first run alone and carries that pattern.  It
+steps that run in place on its drawn uint32 words, without `step`: no mask
+is needed where the arithmetic wraps modulo 2^32 by itself.
 
 In that plane the firing conditions of steps 0..15, which message
 modification removes (Wang, Yin and Yu, CRYPTO 2005), are affine GF(2)
@@ -208,7 +210,7 @@ class McResult(NamedTuple):
 
 
 _MC_BATCH = 1 << 18          # trials per chunk: one call of _mc_chunk
-_MC_SLICE = 1 << 15          # trials drawn and stepped together, so their arrays stay in cache
+_MC_SLICE = 1 << 14          # trials drawn and stepped together, so their words stay in L2
 
 
 def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
@@ -228,6 +230,15 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
     through its eight steps, recording the bit-31 planes of a and e after
     each; the plane recursion then runs once over the whole chunk.
 
+    A slice steps in place on its own drawn words: t1 accumulates in h's
+    words and the new e in d's, K is added to the drawn message word, and
+    Maj is b ^ ((a ^ b) & (b ^ c)), whose a ^ b is the next step's b ^ c;
+    the registers then shift by renaming.  Nothing is masked, because
+    uint32 arithmetic wraps modulo 2^32 by itself.  Bit 31 of a and e goes
+    into one 22-row bool block, packed once per slice.  A slice is
+    2^14 trials so that its sixteen drawn sub-blocks (1 MB) stay in one
+    core's 2 MB L2 cache while it is stepped.
+
     Draws, in this order: 8 registers, then 9 message words, nt uniform words
     each; these 17 sub-blocks fill ceil(17 nt / 2) PCG64 outputs, read as
     little-endian 32-bit halves.  They equal 17 calls of
@@ -242,7 +253,6 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
     """
     import numpy as np
 
-    config = make_variant("no_sbox")
     bitgen = rng.bit_generator
     pos = 0             # 64-bit outputs consumed since the chunk's start
 
@@ -255,24 +265,47 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
         pos = first // 2 + len(raw)
         return raw.astype("<u8", copy=False).view("<u4")[half:half + n]
 
-    # bit-31 planes of the first run: rows 0..2 hold c, b, a at the start and
+    # bit-31 rows of the first run: rows 0..2 hold c, b, a at the start and
     # row t+3 holds a after step t, so step t reads a, b, c from rows t+2..t;
-    # e, f, g likewise
+    # rows 11..21 hold e, f, g likewise
     nb = (nt + 7) // 8
-    ap, ep = np.empty((11, nb), np.uint8), np.empty((11, nb), np.uint8)
+    planes = np.empty((22, nb), np.uint8)
+    width = min(nt, _MC_SLICE)
+    bits = np.empty((22, width), bool)
+    scratch = np.empty((3, width), np.uint32)
+    msb = np.uint32(MSB)
     for lo in range(0, nt, _MC_SLICE):
         ns = min(_MC_SLICE, nt - lo)
-        cols = slice(lo // 8, (lo + ns + 7) // 8)
-        state = RegisterState(*(draw(k * nt + lo, ns) for k in range(8)))
-        ap[:3, cols] = np.packbits(np.stack(state[2::-1]) >= MSB, axis=1)
-        ep[:3, cols] = np.packbits(np.stack(state[6:3:-1]) >= MSB, axis=1)
+        rows = bits[:, :ns]
+        tmp, ab, bc = scratch[:, :ns]
+        a, b, c, d, e, f, g, h = (draw(k * nt + lo, ns) for k in range(8))
+        for row, x in zip((0, 1, 2, 11, 12, 13), (c, b, a, g, f, e)):
+            np.greater_equal(x, msb, out=rows[row])
+        np.bitwise_xor(b, c, out=bc)
         for t in range(8):
-            state = step(state, draw((8 + t) * nt + lo, ns), K[(i + t) % 64], config)
-            ap[t + 3, cols] = np.packbits(state.a >= MSB)
-            ep[t + 3, cols] = np.packbits(state.e >= MSB)
+            w = draw((8 + t) * nt + lo, ns)
+            w += np.uint32(K[(i + t) % 64])
+            h += e
+            np.bitwise_xor(f, g, out=tmp)           # Ch(e, f, g) = g ^ (e & (f ^ g))
+            tmp &= e
+            tmp ^= g
+            h += tmp
+            h += w                                  # h holds t1
+            d += h                                  # d holds the new e
+            np.bitwise_xor(a, b, out=ab)            # Maj(a, b, c) = b ^ ((a ^ b) & (b ^ c))
+            np.bitwise_and(ab, bc, out=tmp)
+            tmp ^= b
+            h += tmp
+            h += a                                  # h holds the new a
+            a, b, c, d, e, f, g, h = h, a, b, c, d, e, f, g
+            ab, bc = bc, ab                         # this step's a ^ b is the next one's b ^ c
+            np.greater_equal(a, msb, out=rows[t + 3])
+            np.greater_equal(e, msb, out=rows[t + 14])
+        planes[:, lo // 8:(lo + ns + 7) // 8] = np.packbits(rows, axis=1)
     bitgen.advance((17 * nt + 1) // 2 - pos)
     dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
     da = db = dc = dd = de = df = dg = dh = np.zeros(nb, np.uint8)
+    ap, ep = planes[:11], planes[11:]
     for t in range(9):
         a, b, c, e, f, g = ap[t + 2], ap[t + 1], ap[t], ep[t + 2], ep[t + 1], ep[t]
         dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ dws[t]

@@ -292,7 +292,7 @@ def cmd_fig2(args) -> tuple[Any, str, int]:
                           seed=args.seed)
     rows = fig2_sweep(range(args.min_steps, args.max_steps + 1), params, kind,
                       search_horizon=args.horizon)
-    csv = sweep_csv(rows)
+    csv = sweep_csv(rows, args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv)

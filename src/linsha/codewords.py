@@ -271,7 +271,6 @@ class SweepRow(NamedTuple):
     steps: int
     weight: int
     method: str                  # "searched" or "extended"
-    seed: int
     iterations: int
     words: tuple[int, ...]
 
@@ -312,14 +311,13 @@ def fig2_sweep(
                                    time.monotonic())
             if n == 40:
                 searched40 = res
-            row = SweepRow(n, res.weight, "searched", params.seed, res.iterations_run, res.words)
+            row = SweepRow(n, res.weight, "searched", res.iterations_run, res.words)
             best_searched = row
         else:
             if best_searched is None:
                 raise ValueError("extension rows need at least one searched row")
             ext = extend_codeword(best_searched.words, n, kind)
-            row = SweepRow(n, seq_weight(ext), "extended", params.seed,
-                           best_searched.iterations, tuple(ext))
+            row = SweepRow(n, seq_weight(ext), "extended", best_searched.iterations, tuple(ext))
         rows[n] = row
     # monotone truncation pass, longest to shortest
     for n, longer in reversed(list(zip(steps_list, steps_list[1:]))):
@@ -327,13 +325,14 @@ def fig2_sweep(
         truncated = list(src.words[:n])
         w = seq_weight(truncated)
         if w < rows[n].weight:
-            rows[n] = SweepRow(n, w, src.method, src.seed, src.iterations, tuple(truncated))
+            rows[n] = SweepRow(n, w, src.method, src.iterations, tuple(truncated))
     return [rows[n] for n in steps_list]
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
+def sweep_csv(rows: Sequence[SweepRow], seed: int) -> str:
+    """The sweep's rows as CSV; every row repeats the sweep's seed."""
     buf = io.StringIO()
     buf.write("steps,weight,method,seed,iterations\n")
     for r in rows:
-        buf.write(f"{r.steps},{r.weight},{r.method},{r.seed},{r.iterations}\n")
+        buf.write(f"{r.steps},{r.weight},{r.method},{seed},{r.iterations}\n")
     return buf.getvalue()

@@ -147,7 +147,8 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     # a redundancy part has at most 64 * W <= 2048 bits, so uint16 sums hold
     weights = np.bitwise_count(sets).sum(axis=0, dtype=np.uint16)
     first = weights.argmin(axis=1)
-    best = [(w + 1, (r,)) for w, r in zip(weights.min(axis=1).tolist(), first.tolist())]
+    lightest = weights.min(axis=1)
+    best = [(w + 1, (r,)) for w, r in zip(lightest.tolist(), first.tolist())]
     # sort each set's rows by their window bits, with the row index below
     # them, so that a bucket's rows come in ascending order
     ranked = sets[0] & np.uint64((1 << window) - 1)
@@ -165,6 +166,8 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     same = np.zeros(nb * k, dtype=bool)
     np.equal(ranked[1:], ranked[:-1], out=same[1:])
     same[::k] = False
+    # a pair weighs at least 2, so it cannot beat a row of weight 2 or less
+    same.reshape(nb, k)[lightest <= 1] = False
     # the sorted positions that extend a bucket, and how many places back
     # each one's bucket starts: it pairs with every position in between
     at = np.flatnonzero(same)

@@ -10,8 +10,10 @@ functions are a None Maj and Ch, for which the three registers do.  `step`
 wraps it for every other caller.
 It masks only the two words it outputs: exact on Python ints, and on numpy
 `uint32` arrays every operation already wraps modulo 2^32, so it serves
-single states, batches and exact difference propagation alike.  `expand`
-runs on both the same way."""
+single states, batches and exact difference propagation alike.  The package
+itself steps only Python ints: the Monte Carlo steps its batches in place,
+and only the two-run reference it is tested against steps numpy batches.
+`expand` runs on both the same way."""
 
 from __future__ import annotations
 

@@ -242,6 +242,18 @@ class TestMonteCarlo:
         mc = monte_carlo_local_collision(20, 100000, seed=2, workers=workers)
         assert mc.successes == self.PINNED[workers]
 
+    # successes by seed at 1000003 trials and 3 workers, recorded on one CPU
+    # and on two: each stream runs a full chunk, then a tail of 71191 or
+    # 71190 trials that ends inside its fifth slice
+    PINNED_LONG = {1: 6740, 2: 6829, 3: 6824}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pinned_counts_across_chunks(self, monkeypatch, cpus):
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
+        got = {seed: monte_carlo_local_collision(20, 1000003, seed=seed, workers=3).successes
+               for seed in self.PINNED_LONG}
+        assert got == self.PINNED_LONG
+
     @pytest.fixture
     def chunks(self, monkeypatch):
         """Run _mc_chunk as in_caller in this process and as in_child in forked children."""

@@ -456,11 +456,12 @@ class TestSweep:
             (41, 333, "705dd9d482570d59"), (42, 353, "4168737dfd32eac6")]
 
     def test_csv_format(self):
-        rows = fig2_sweep(range(16, 19), SearchParams(iterations=40, seed=0))
-        csv = sweep_csv(rows)
+        rows = fig2_sweep(range(16, 19), SearchParams(iterations=40, seed=3))
+        csv = sweep_csv(rows, 3)
         lines = csv.strip().splitlines()
         assert lines[0] == "steps,weight,method,seed,iterations"
         assert len(lines) == 4
+        assert [line.split(",")[3] for line in lines[1:]] == ["3"] * 3
 
     def test_range_validated(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ UNCALLED = {
     "linsha.boolanalysis._bit31_equation": "the first-16 strand",
     "linsha.boolanalysis._conditions_hold": "the first-16 strand",
     "linsha.boolanalysis.FirstStepsError": "the first-16 strand",
+    "linsha.primitives.step": "the first-16 strand is its one caller in the package",
 }
 
 # each subcommand once, with the variants that reach its options' branches,
