@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 # rows are read from their bytes and transposed once.
 
 BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
-PAIR_CHUNK = 1 << 13        # row pairs weighed at once, plus at most 511
 ROW_BITS = 9                # bits of a row index: the generator has 512 rows
 # processes that weigh one chain, the chain's own included, at most (see
 # chain_search).  Only the calling process swaps, and at 40 steps its swaps
@@ -141,7 +140,8 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     bits (the Stern window); the least pair by (weight, later row, earlier
     row) replaces the lightest row only if strictly lighter.  The window is
     at most 64 - ROW_BITS = 55 bits, the part of a sort key above the row
-    index.
+    index.  The pairs are weighed pass by pass: pass d pairs each row, sorted
+    on its window bits, with the row d places back in its bucket.
     """
     n_words, nb, k = sets.shape
     # a redundancy part has at most 64 * W <= 2048 bits, so uint16 sums hold
@@ -168,23 +168,14 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     same[::k] = False
     # a pair weighs at least 2, so it cannot beat a row of weight 2 or less
     same.reshape(nb, k)[lightest <= 1] = False
-    # the sorted positions that extend a bucket, and how many places back
-    # each one's bucket starts: it pairs with every position in between
-    at = np.flatnonzero(same)
-    run = np.arange(len(at))
-    depth = run + 1 - np.maximum.accumulate(np.where(same[at - 1], 0, run))
     columns = sets.reshape(n_words, nb * k)
     code = np.full(nb, NO_PAIR)
-    # the positions are taken in chunks of about PAIR_CHUNK pairs
-    ends = np.cumsum(depth)
-    firsts = np.searchsorted(ends, np.arange(0, depth.sum(), PAIR_CHUNK), side="right").tolist()
-    for lo, hi in zip(firsts, [*firsts[1:], len(at)]):
-        t = depth[lo:hi]
-        later = np.repeat(at[lo:hi], t)
-        back = np.arange(1, len(later) + 1) - np.repeat(np.cumsum(t) - t, t)
+    # no pass holds more pairs than the batch has rows, so BATCH_BYTES bounds each
+    later = np.flatnonzero(same)
+    back = 1
+    while later.size:
         late = order[later]
-        later -= back
-        early = order[later]
+        early = order[later - back]
         pair = columns.take(early, axis=1)
         pair ^= columns.take(late, axis=1)
         # (weight + 2, later row, earlier row) as one int64 code, per set
@@ -195,6 +186,9 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
         pw *= k
         pw += early & (k - 1)
         np.minimum.at(code, late >> ROW_BITS, pw)
+        # a position stays while its bucket reaches back one place further
+        later = later[same[later - back]]
+        back += 1
     for s, c in enumerate(code.tolist()):
         if c // (k * k) < best[s][0]:
             best[s] = (c // (k * k), (c % k, c // k % k))
@@ -245,8 +239,10 @@ def chain_search(
     copies each set and its perm into a batch slot of a ring in shared
     memory (P + 1 slots, or one when P is 1), made before P - 1 weighers are
     forked.  A full batch goes to the weighers through one pipe, as its slot
-    and first iteration, if a slot is free to fill next; the weighers hand
-    weighed slots back through a second pipe.  When no slot is free the
+    and first iteration, if a slot is free to fill next.  The free slots are
+    the bytes in a second pipe: it starts with every slot but the chain's
+    first, the chain takes one with a non-blocking read, and the weighers
+    write back each slot they have weighed.  When no slot is free the
     chain weighs the full batch itself, and it always weighs the last one,
     after it has closed the ring and weighed what the weighers had not yet
     taken.  Each process keeps the least (weight, iteration, word) of the
@@ -271,7 +267,7 @@ def chain_search(
     sets = np.frombuffer(ring, red.dtype, slots * size * red.size).reshape(slots, len(red), size, k)
     perms = np.frombuffer(ring, perm.dtype, slots * size * n, sets.nbytes).reshape(slots, size, n)
     filled_r, filled_w = _pipe()        # (slot, first iteration) of each full batch
-    freed_r, freed_w = _pipe()          # one byte per weighed slot
+    freed_r, freed_w = _pipe()          # one byte per free slot
     done = 0
     # this process's (weight, iteration, word); no codeword weighs n + 1
     best = (n + 1 if incumbent is None else incumbent, -1, None)
@@ -295,7 +291,6 @@ def chain_search(
     def chain() -> tuple:
         """Run the chain, weighing what the weighers cannot take."""
         nonlocal done
-        free = list(range(1, slots))
         slot, filled = 0, 0
         try:
             for it in range(iterations):
@@ -318,10 +313,9 @@ def chain_search(
                 perms[slot, filled] = perm
                 filled += 1
                 if filled == size and done < iterations:
-                    free.extend(freed_r.read(slots) or b"")
-                    if free:
+                    if free := freed_r.read(1):        # None when no slot is free
                         filled_w.write(FILLED.pack(slot, done - size))
-                        slot = free.pop()
+                        slot = free[0]
                     else:
                         weigh(slot, done - size, size)
                     filled = 0
@@ -341,6 +335,7 @@ def chain_search(
 
     with filled_r, filled_w, freed_r, freed_w:
         os.set_blocking(freed_r.fileno(), False)
+        freed_w.write(bytes(range(1, slots)))      # every slot but the chain's first
         runs = forks.forked(work, range(procs))
     w, found_at, words = min(tuple(run) for run in runs)
     if words is None:

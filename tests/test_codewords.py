@@ -239,6 +239,22 @@ def random_sets(rng, n_words, nb):
     return rng.integers(0, 1 << 64, (n_words, nb, 512), dtype=np.uint64)
 
 
+def first_batch(monkeypatch, steps):
+    """The first batch that sha1-xor's seed-0 chain at `steps` steps weighs:
+    its first 4 sets."""
+    batches, weigh = [], isd._weigh
+
+    def keep(sets, window):
+        batches.append(sets.copy())
+        return weigh(sets, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(isd, "_weigh", keep)
+        isd.chain_search(build_generator(SHA1_XOR, steps), 0, 4, None, None)
+    (sets,) = batches
+    return sets
+
+
 class TestBatchedWeighing:
     @pytest.mark.parametrize("window", [0, 1, 5, 12, 55])
     def test_matches_one_set_at_a_time(self, window):
@@ -256,28 +272,38 @@ class TestBatchedWeighing:
 
     def test_real_sparse_batch(self, monkeypatch):
         # the first sets of sha1-xor's chain at 17 steps: one redundancy word,
-        # 464 of the first set's 512 rows zero on the window, so its largest
-        # bucket holds C(464, 2) pairs
-        batches, weigh = [], isd._weigh
-
-        def keep(sets, window):
-            batches.append(sets.copy())
-            return weigh(sets, window)
-
-        monkeypatch.setattr(isd, "_weigh", keep)
-        isd.chain_search(build_generator(SHA1_XOR, 17), 0, 4, None, None)
-        (sets,) = batches
+        # 464 of each set's 512 rows zero on the window, and a row of
+        # redundancy weight 0 in every set, which no pair can beat, so no
+        # pair is weighed
+        sets = first_batch(monkeypatch, 17)
         assert sets.shape == (1, 4, 512)
+        assert np.bitwise_count(sets).sum(axis=0).min(axis=1).tolist() == [0] * 4
         assert int((sets[0, 0] & np.uint64((1 << isd.WINDOW) - 1) == 0).sum()) == 464
         assert isd._weigh(sets, isd.WINDOW) == reference_weigh(sets, isd.WINDOW)
 
-    def test_bucket_of_many_pair_chunks(self):
-        # at the chains' window, one set's first 250 rows share their window
-        # bits: 31125 pairs in one bucket, more than three PAIR_CHUNK chunks
-        sets = clustered_sets(np.random.default_rng(200))
-        sets[0, 1, :250] &= ~np.uint64((1 << isd.WINDOW) - 1)
-        assert 250 * 249 // 2 > 3 * isd.PAIR_CHUNK
+    def test_real_batch_of_deep_buckets(self, monkeypatch):
+        # the first sets of sha1-xor's chain at 24 steps: four redundancy
+        # words, 421 of each set's rows zero on the window, and the lightest
+        # rows of redundancy weight 2, so every set's pairs are weighed, over
+        # some 420 passes
+        sets = first_batch(monkeypatch, 24)
+        assert sets.shape == (4, 4, 512)
+        assert np.bitwise_count(sets).sum(axis=0).min(axis=1).tolist() == [2] * 4
+        zero = sets[0] & np.uint64((1 << isd.WINDOW) - 1) == 0
+        assert zero.sum(axis=1).tolist() == [421] * 4
         assert isd._weigh(sets, isd.WINDOW) == reference_weigh(sets, isd.WINDOW)
+
+    def test_winning_pair_on_the_deepest_pass(self):
+        # dense random rows at the chains' window, except: one set's first
+        # 250 rows share their window bits, and rows 0 and 249 differ in one
+        # bit past it, a pair of 3 that only the bucket's 249th pass reaches
+        sets = random_sets(np.random.default_rng(200), 3, 4)
+        sets[0, 1, :250] &= ~np.uint64((1 << isd.WINDOW) - 1)
+        sets[:, 1, 249] = sets[:, 1, 0]
+        sets[0, 1, 249] ^= np.uint64(1 << isd.WINDOW)
+        result = isd._weigh(sets, isd.WINDOW)
+        assert result[1] == (3, (0, 249))
+        assert result == reference_weigh(sets, isd.WINDOW)
 
     @pytest.mark.parametrize("window, expected", [(12, (3, (30, 40))), (55, (3, (30, 40)))])
     def test_ties_and_long_windows(self, window, expected):
