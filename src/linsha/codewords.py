@@ -155,13 +155,13 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     updates, each set weighed by its rows and by the row pairs that agree on
     the Stern collision window.  Optional bootstrap stages search a shorter
     length first and extend the winner, which is sound because truncating a
-    valid word is valid again; the extended incumbent seeds the main chain
-    and is only replaced by strictly lighter finds.  A time budget is split
-    into equal slices from the start, one per bootstrap stage and the last
-    for the main search.  An iteration is one swap and one weighed
-    information set, and every chain runs at least one, so on every code a
-    budget that expires during setup still yields a word.  Deterministic for
-    fixed (seed, iteration budget).
+    valid word is valid again; the extended incumbent stands unless the main
+    chain's find is strictly lighter.  A time budget is split into equal
+    slices from the start, one per bootstrap stage and the last for the main
+    search.  An iteration is one swap and one weighed information set, and
+    every chain runs at least one, so on every code a budget that expires
+    during setup still yields a word.  Deterministic for fixed (seed,
+    iteration budget).
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1
@@ -204,10 +204,13 @@ def _search_from(
     iterations = params.iterations if params.iterations is not None else 1 << 62
     deadline = t0 + params.budget_secs if params.budget_secs is not None else None
     # the seed a search's first chain always had, so every earlier result stays bit for bit
-    w, words, found_at, iters_done = chain_search(g, params.seed * 1000003, iterations,
-                                                  deadline, best_w)
-    if words is not None:
+    w, words, found_at, iters_done = chain_search(g.words, params.seed * 1000003, iterations,
+                                                  deadline)
+    # the incumbent stands, found at no iteration, unless the chain's word is lighter
+    if best_w is None or w < best_w:
         best_w, best_words, origin = w, words, "search"
+    else:
+        found_at = None
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
@@ -296,6 +299,9 @@ def fig2_sweep(
         raise ValueError("sweep range is empty")
     if steps_list[0] < 16 or steps_list[-1] > 64:
         raise ValueError("sweep range must lie within [16, 64]")
+    if search_horizon < steps_list[0]:
+        raise ValueError(f"search horizon {search_horizon} lies below the sweep's first "
+                         f"step count {steps_list[0]}, so no row is searched to extend")
     rows: dict[int, SweepRow] = {}
     best_searched: SweepRow | None = None
     params = params.replace(bootstrap_lengths=())
@@ -314,8 +320,6 @@ def fig2_sweep(
             row = SweepRow(n, res.weight, "searched", res.iterations_run, res.words)
             best_searched = row
         else:
-            if best_searched is None:
-                raise ValueError("extension rows need at least one searched row")
             ext = extend_codeword(best_searched.words, n, kind)
             row = SweepRow(n, seq_weight(ext), "extended", best_searched.iterations, tuple(ext))
         rows[n] = row

@@ -1,14 +1,14 @@
-"""Bit-packed information-set decoding chain for the expansion code.
+"""Bit-packed information-set decoding chain over a systematic GF(2) code.
 
 The numpy half of codewords.low_weight_search: one Canteaut-Chabaud chain
-over the generator's columns packed into uint64 words.  Its first systematic
-form is built from the generator's message basis by the chain's own
-single-column swap, which is then its only set update.  An iteration is one
-column swap and one weighed set: each set is copied into a batch and weighed
-a batch at a time.  The calling process runs the chain and hands full
-batches through a shared-memory ring to forked processes that weigh them
-(see chain_search).  It lives apart from codewords so that only the commands
-that search load numpy.
+over the columns of a k x n generator, systematic on its first k columns,
+packed into uint64 words.  Its first systematic form is built from that
+basis by the chain's own single-column swap, which is then its only set
+update.  An iteration is one column swap and one weighed set: each set is
+copied into a batch and weighed a batch at a time.  The calling process runs
+the chain and hands full batches through a shared-memory ring to forked
+processes that weigh them (see chain_search).  It lives apart from codewords
+so that only the commands that search load numpy.
 """
 
 from __future__ import annotations
@@ -19,25 +19,20 @@ import os
 import struct
 import time
 from random import Random
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import forks
 
-if TYPE_CHECKING:
-    from .codewords import GeneratorMatrix
-
-# The searches work on a word-major layout: a (W, 512) little-endian uint64
+# The searches work on a word-major layout: a (W, k) little-endian uint64
 # array whose element [w, r] holds bits 64w..64w+63 of row r (bit c at bit
 # c % 64 of word c // 64).  A column is then one contiguous row of words, a
 # column swap is one masked XOR of the whole array, and row weights reduce
-# along the outer axis.  A batch of B information sets is a (W, B, 512)
-# array in the same order.  The generator's (512, N) little-endian uint32
-# rows are read from their bytes and transposed once.
+# along the outer axis.  A batch of B information sets is a (W, B, k) array
+# in the same order.  The generator's (k, m) little-endian uint32 rows are
+# read from their bytes and transposed once.
 
 BATCH_BYTES = 800_000       # information sets weighed at once: 16 at 40 steps
-ROW_BITS = 9                # bits of a row index: the generator has 512 rows
 # processes that weigh one chain, the chain's own included, at most (see
 # chain_search).  Only the calling process swaps, and at 40 steps its swaps
 # take about 40% of a one-process run, which no number of weighers shortens.
@@ -86,19 +81,19 @@ def _systematic(gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random) -
     """Redundancy part of the generator in systematic form on the columns
     perm[0..k-1], in that order (perm maps position -> original column).
 
-    The generator is already systematic on the message bits, columns 0..k-1,
-    so the form starts there.  Positions are taken in order, and each one's
-    column joins the information set unless it lies in the span of the
-    columns placed before it.  A message bit still in the set is placed as
-    it is; any other column joins by the chain's single-column swap, on the
-    first row with its bit among the rows that no placed column owns,
-    preferring a row whose column lies outside perm[0..k-1], which never has
-    to come back.  A column in the span (it has no pivot) is swapped with
-    the random position rng.randrange(k, n) until one has, and perm records
-    every swap.  The systematic form of an ordered information set is unique,
-    so one bit permutation at the end puts its rows in the order of
-    perm[0..k-1] and its redundancy columns in the order of perm[k..]; only
-    their word-major words are returned (k is a multiple of 64).
+    The generator is already systematic on its first k columns, so the form
+    starts there.  Positions are taken in order, and each one's column joins
+    the information set unless it lies in the span of the columns placed
+    before it.  A column below k still in the set is placed as it is; any
+    other column joins by the chain's single-column swap, on the first row
+    with its bit among the rows that no placed column owns, preferring a row
+    whose column lies outside perm[0..k-1], which never has to come back.  A
+    column in the span (it has no pivot) is swapped with the random position
+    rng.randrange(k, n) until one has, and perm records every swap.  The
+    systematic form of an ordered information set is unique, so one bit
+    permutation at the end puts its rows in the order of perm[0..k-1] and its
+    redundancy columns in the order of perm[k..]; only their word-major words
+    are returned (k is a multiple of 64).
     """
     # the rows' words after the message, as uint64 words: redundancy position q
     # holds column k + q until a swap moves it
@@ -139,28 +134,29 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     rows, then the row pairs that agree on the first `window` redundancy
     bits (the Stern window); the least pair by (weight, later row, earlier
     row) replaces the lightest row only if strictly lighter.  The window is
-    at most 64 - ROW_BITS = 55 bits, the part of a sort key above the row
-    index.  The pairs are weighed pass by pass: pass d pairs each row, sorted
-    on its window bits, with the row d places back in its bucket.
+    at most 64 - (k - 1).bit_length() bits, the part of a sort key above the
+    row index.  The pairs are weighed pass by pass: pass d pairs each row,
+    sorted on its window bits, with the row d places back in its bucket.
     """
     n_words, nb, k = sets.shape
-    # a redundancy part has at most 64 * W <= 2048 bits, so uint16 sums hold
+    # uint16 sums hold the weight of a redundancy part below 2^16 bits
     weights = np.bitwise_count(sets).sum(axis=0, dtype=np.uint16)
     first = weights.argmin(axis=1)
     lightest = weights.min(axis=1)
     best = [(w + 1, (r,)) for w, r in zip(lightest.tolist(), first.tolist())]
-    # sort each set's rows by their window bits, with the row index below
-    # them, so that a bucket's rows come in ascending order
+    # sort each set's rows by their window bits, with the row index in the
+    # row_bits below them, so that a bucket's rows come in ascending order
+    row_bits = (k - 1).bit_length()
     ranked = sets[0] & np.uint64((1 << window) - 1)
-    ranked <<= np.uint64(ROW_BITS)
+    ranked <<= np.uint64(row_bits)
     ranked |= np.arange(k, dtype=np.uint64)
     ranked.sort(axis=1)
     # the batch's columns are indexed s * k + r: set s, row r
-    order = (ranked & np.uint64(k - 1)).astype(np.intp)
+    order = (ranked & np.uint64((1 << row_bits) - 1)).astype(np.intp)
     order += np.arange(0, nb * k, k)[:, None]
     order = order.ravel()
     ranked = ranked.ravel()
-    ranked >>= np.uint64(ROW_BITS)
+    ranked >>= np.uint64(row_bits)
     # same[p]: sorted position p extends the bucket of position p - 1; each
     # set's first row starts one
     same = np.zeros(nb * k, dtype=bool)
@@ -178,14 +174,16 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
         early = order[later - back]
         pair = columns.take(early, axis=1)
         pair ^= columns.take(late, axis=1)
-        # (weight + 2, later row, earlier row) as one int64 code, per set
+        # (weight + 2, later row, earlier row) per set; row = column - set_of * k
+        set_of = late // k
         pw = np.bitwise_count(pair).sum(axis=0, dtype=np.uint16).astype(np.int64)
         pw += 2
         pw *= k
-        pw += late & (k - 1)
+        pw += late
         pw *= k
-        pw += early & (k - 1)
-        np.minimum.at(code, late >> ROW_BITS, pw)
+        pw += early
+        pw -= set_of * (k * k + k)
+        np.minimum.at(code, set_of, pw)
         # a position stays while its bucket reaches back one place further
         later = later[same[later - back]]
         back += 1
@@ -215,24 +213,23 @@ def _pipe() -> tuple[io.FileIO, io.FileIO]:
 
 
 def chain_search(
-    g: GeneratorMatrix,
-    chain_seed: int,
-    iterations: int,
-    deadline: float | None,
-    incumbent: int | None,
-) -> tuple[int | None, tuple[int, ...] | None, int | None, int]:
-    """One search chain; returns (best_weight, words, found_at, iters_done),
-    where words and found_at stay None unless the chain finds a word
-    strictly lighter than the incumbent weight.
+    gen: np.ndarray, chain_seed: int, iterations: int, deadline: float | None
+) -> tuple[int, tuple[int, ...], int, int]:
+    """One search chain over the code that `gen` generates; returns
+    (best_weight, words, found_at, iters_done) for its lightest word found.
 
-    Only the redundancy parts of the systematic rows are kept.  The chain
-    starts from a shuffled column order's systematic form.  Each iteration
-    makes one single-column swap and copies the information set it leaves
-    into a batch, which is weighed as _weigh says, on the fixed WINDOW-bit
-    Stern window.  The chain's find is the least (weight, iteration) over
-    its sets: the first set of least weight.  The deadline is checked from
-    the second iteration on, so a chain whose setup outlasts its time slice
-    still weighs one set.
+    `gen` is a (k, m) little-endian uint32 array, bit b of gen[r, i] at
+    column 32i + b of row r, systematic on its first k columns, with k a
+    multiple of 64; the code has length n = 32m, and words come back packed
+    the same way.  Only the redundancy parts of the systematic rows are
+    kept.  The chain starts from a shuffled column order's systematic form,
+    and raises ValueError if that form has no nonzero redundancy bit, as no
+    swap exists then.  Each iteration makes one single-column swap and
+    copies the information set it leaves into a batch, which is weighed as
+    _weigh says, on the fixed WINDOW-bit Stern window.  The chain's find is
+    the least (weight, iteration) over its sets: the first set of least
+    weight.  The deadline is checked from the second iteration on, so a
+    chain whose setup outlasts its time slice still weighs one set.
 
     The weighing is split over up to forks.usable_cpus() processes, P in
     all.  The calling process runs the chain, the only one that swaps: it
@@ -251,11 +248,13 @@ def chain_search(
     chain's own iteration count, since every set the chain made is weighed.
     On one usable CPU nothing is forked.
     """
-    k, n = 512, g.n_bits
+    k, n = len(gen), 32 * gen.shape[1]
     rng = Random(chain_seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    red = _systematic(g.words, perm, k, n, rng)
+    red = _systematic(gen, perm, k, n, rng)
+    if not red.any():
+        raise ValueError(f"the [{n}, {k}] code has no nonzero redundancy bit to swap in")
     perm = np.array(perm, dtype=np.min_scalar_type(n))     # uint16: batched copies stay small
     size = max(1, BATCH_BYTES // red.nbytes)
     # no process is forked without a batch to weigh
@@ -270,7 +269,7 @@ def chain_search(
     freed_r, freed_w = _pipe()          # one byte per free slot
     done = 0
     # this process's (weight, iteration, word); no codeword weighs n + 1
-    best = (n + 1 if incumbent is None else incumbent, -1, None)
+    best = (n + 1, -1, None)
 
     def weigh(slot: int, first: int, count: int) -> None:
         """Weigh a slot's first `count` sets, from iteration `first` on."""
@@ -298,9 +297,8 @@ def chain_search(
                     break
                 done = it + 1
                 # the single-column swap: a redundancy column q and an information
-                # column j where row j has bit q.  The draws end, as some redundancy
-                # column is non-zero: W16's 32 bits are non-zero functions of the
-                # message for both XOR kinds, and 512 + 32 exceeds an information set.
+                # column j where row j has bit q.  The draws end: the form has a
+                # nonzero redundancy bit, and each swap moves a nonzero column out.
                 while True:
                     q = rng.randrange(k, n)
                     j = rng.randrange(k)
@@ -338,6 +336,4 @@ def chain_search(
         freed_w.write(bytes(range(1, slots)))      # every slot but the chain's first
         runs = forks.forked(work, range(procs))
     w, found_at, words = min(tuple(run) for run in runs)
-    if words is None:
-        return incumbent, None, None, done
     return w, tuple(words), found_at, done

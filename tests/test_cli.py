@@ -115,6 +115,7 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     # the census draws nothing, so it takes no seed
     ("census", "--seed", "1"),
     ("local-collision-mc", "--trials", "5", "--iterations", "7"),
+    ("fig2", "--min-steps", "16", "--max-steps", "18", "--horizon", "15"),
 ], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
         "mc-trials-0", "seed-not-a-number", "seed-not-an-integer",
         "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
@@ -123,7 +124,8 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
         "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
         "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
         "fig2-range-empty", "collide-strict", "search-seed-negative", "collide-seed-negative",
-        "search-algorithm", "fig2-algorithm", "census-seed", "mc-iterations-alias"])
+        "search-algorithm", "fig2-algorithm", "census-seed", "mc-iterations-alias",
+        "fig2-horizon-below-range"])
 def test_invalid_input_exits_two(capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2
@@ -152,6 +154,8 @@ NAMED_IN_ERROR = {
         "unrecognized arguments: --iterations 7",
     ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
         "unrecognized arguments: --workers 2",
+    ("fig2", "--min-steps", "16", "--max-steps", "18", "--horizon", "15"):
+        "search horizon 15 lies below the sweep's first step count 16",
 }
 
 

@@ -218,8 +218,8 @@ def reference_weigh(sets, window):
     return out
 
 
-def clustered_sets(rng):
-    """A (3, 4, 512) batch whose rows are each one of 8 bases (7 dense, one
+def clustered_sets(rng, k=512):
+    """A (3, 4, k) batch whose rows are each one of 8 bases (7 dense, one
     of weight about 12) plus noise of weight about 3, so pairs on one base
     are light, single rows on the light base about as light, and many
     candidates tie."""
@@ -231,12 +231,28 @@ def clustered_sets(rng):
 
     bases = sparse((3, 4, 8), 0)
     bases[:, :, 0] = sparse((3, 4), 3)
-    return bases[:, :, rng.integers(0, 8, 512)] ^ sparse((3, 4, 512), 5)
+    return bases[:, :, rng.integers(0, 8, k)] ^ sparse((3, 4, k), 5)
 
 
-def random_sets(rng, n_words, nb):
-    """A (n_words, nb, 512) batch of uniformly random redundancy parts."""
-    return rng.integers(0, 1 << 64, (n_words, nb, 512), dtype=np.uint64)
+def random_sets(rng, n_words, nb, k=512):
+    """A (n_words, nb, k) batch of uniformly random redundancy parts."""
+    return rng.integers(0, 1 << 64, (n_words, nb, k), dtype=np.uint64)
+
+
+def at_dimensions(windows):
+    """Stern windows at k = 512, with their ids alone, then at k = 128 and at
+    k = 192, which is no power of two: neither a row nor a set index is then
+    a bit field of a batch column."""
+    return [pytest.param(w, k, id=str(w) if k == 512 else f"{w}-k{k}")
+            for k in (512, 128, 192) for w in windows]
+
+
+def systematic_generator(red):
+    """The generator [I | red] of a code systematic on its first k = len(red)
+    columns, from (k, n - k) 0/1 redundancy bits, packed as isd.chain_search
+    takes it: (k, n / 32) little-endian uint32 rows."""
+    bits = np.concatenate([np.eye(len(red), dtype=np.uint8), red], axis=1)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u4")
 
 
 def first_batch(monkeypatch, steps):
@@ -250,24 +266,24 @@ def first_batch(monkeypatch, steps):
 
     with monkeypatch.context() as patch:
         patch.setattr(isd, "_weigh", keep)
-        isd.chain_search(build_generator(SHA1_XOR, steps), 0, 4, None, None)
+        isd.chain_search(build_generator(SHA1_XOR, steps).words, 0, 4, None)
     (sets,) = batches
     return sets
 
 
 class TestBatchedWeighing:
-    @pytest.mark.parametrize("window", [0, 1, 5, 12, 55])
-    def test_matches_one_set_at_a_time(self, window):
-        # 55 bits fill a sort key above the row index
-        sets = clustered_sets(np.random.default_rng(window))
+    @pytest.mark.parametrize("window, k", at_dimensions([0, 1, 5, 12, 55]))
+    def test_matches_one_set_at_a_time(self, window, k):
+        # 55 bits fill a sort key above a 512-row index
+        sets = clustered_sets(np.random.default_rng(window), k)
         assert isd._weigh(sets, window) == reference_weigh(sets, window)
 
-    @pytest.mark.parametrize("window", [0, 3, 12, 20])
-    def test_random_batches(self, window):
+    @pytest.mark.parametrize("window, k", at_dimensions([0, 3, 12, 20]))
+    def test_random_batches(self, window, k):
         # uniform rows of two words and of one: a pair wins at windows 0 and
         # 3 (at 0 every row pair is weighed), a single row mostly at 12 and 20
         rng = np.random.default_rng(100 + window)
-        for sets in (random_sets(rng, 2, 3), random_sets(rng, 1, 5)):
+        for sets in (random_sets(rng, 2, 3, k), random_sets(rng, 1, 5, k)):
             assert isd._weigh(sets, window) == reference_weigh(sets, window)
 
     def test_real_sparse_batch(self, monkeypatch):
@@ -457,9 +473,9 @@ class TestSweep:
         chain_search = isd.chain_search
         search = codewords.low_weight_search
 
-        def chain_spy(g, *args):
-            searched.append(g.n_steps)
-            return chain_search(g, *args)
+        def chain_spy(gen, *args):
+            searched.append(gen.shape[1])       # one uint32 word per step
+            return chain_search(gen, *args)
 
         def search_spy(g, params):
             searched.append(("low_weight_search", g.n_steps))
@@ -496,23 +512,59 @@ class TestSweep:
 
 class TestSystematic:
     @pytest.mark.parametrize("kind, steps", [(XOR, 20), (XOR, 40), (XOR, 64),
-                                             (SHA1_XOR, 17), (SHA1_XOR, 30), (SHA1_XOR, 80)],
+                                             (SHA1_XOR, 17), (SHA1_XOR, 30), (SHA1_XOR, 80),
+                                             pytest.param(None, 20, id="random-k192-20")],
                              ids=lambda v: getattr(v, "value", v))
     def test_matches_full_elimination(self, kind, steps):
         # the message-basis pivots give the reduced form, the perm and the draws
         # of the elimination they replaced; sha256-xor at 20 steps redraws
-        # hundreds of pivotless columns per seed
-        g = build_generator(kind, steps)
+        # hundreds of pivotless columns per seed.  Kind None: a random code of
+        # the same length with k = 192, systematic on its first 192 columns
+        if kind is None:
+            red = np.random.default_rng(192).integers(0, 2, (192, 32 * steps - 192), np.uint8)
+            gen = systematic_generator(red)
+        else:
+            gen = build_generator(kind, steps).words
+        k, n = len(gen), 32 * steps
         for seed in range(8):
             fast, slow = Random(seed), Random(seed)
-            perm_fast, perm_slow = list(range(g.n_bits)), list(range(g.n_bits))
+            perm_fast, perm_slow = list(range(n)), list(range(n))
             fast.shuffle(perm_fast)
             slow.shuffle(perm_slow)
-            red = isd._systematic(g.words, perm_fast, 512, g.n_bits, fast)
-            assert np.array_equal(red, systematic_by_elimination(
-                g.words, perm_slow, 512, g.n_bits, slow)), seed
+            red = isd._systematic(gen, perm_fast, k, n, fast)
+            assert np.array_equal(red, systematic_by_elimination(gen, perm_slow, k, n, slow)), seed
             assert perm_fast == perm_slow, seed
             assert fast.random() == slow.random(), seed
+
+
+class TestAnyCode:
+    """The chain over a generator other than the expansion code's."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_finds_a_planted_word(self, monkeypatch, forks, cpus):
+        # a random [512, 128] code whose message rows 3, 64 and 127 sum to a
+        # redundancy part of weight 2: a word of weight 5, where a random
+        # word's redundancy part alone weighs about 192
+        k, n = 128, 512
+        red = np.random.default_rng(0).integers(0, 2, (k, n - k), dtype=np.uint8)
+        red[127] = red[3] ^ red[64]
+        red[127, [10, 300]] ^= 1
+        word = np.zeros(n, dtype=np.uint8)
+        word[[3, 64, 127, k + 10, k + 300]] = 1
+        planted = tuple(np.packbits(word, bitorder="little").view("<u4").tolist())
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
+        # 300 sets fill batches of 130, 130 and 40
+        assert isd.chain_search(systematic_generator(red), 2, 300, None) == (5, planted, 9, 300)
+        assert len(forks) == cpus - 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("m", [2, 4], ids=["n=k", "n=2k"])
+    def test_code_without_redundancy_bits_is_refused(self, m):
+        # [I | 0] with k = 64 has no swap, where the chain's swap draw once
+        # looped forever
+        gen = systematic_generator(np.zeros((64, 32 * m - 64), dtype=np.uint8))
+        with pytest.raises(ValueError, match="no nonzero redundancy bit"):
+            isd.chain_search(gen, 0, 3, None)
 
 
 class TestSplit:
@@ -564,11 +616,11 @@ class TestSplit:
         g = build_generator(XOR, 40)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
         monkeypatch.setattr(isd, "time", Clock)
-        split = isd.chain_search(g, 0, 1 << 62, 300, None)
+        split = isd.chain_search(g.words, 0, 1 << 62, 300)
         assert split[3] == 301 and len(forks) == cpus - 1
         assert_reaped(forks)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
-        assert split == isd.chain_search(g, 0, 301, None, None)
+        assert split == isd.chain_search(g.words, 0, 301, None)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_only_the_caller_swaps(self, monkeypatch, forks, cpus):
@@ -625,8 +677,8 @@ class TestSplit:
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
         monkeypatch.setattr(isd, "_weigh", opening)
         try:
-            w, words, found_at, done = isd.chain_search(build_generator(SHA1_XOR, 17), 0, 700,
-                                                        None, None)
+            w, words, found_at, done = isd.chain_search(build_generator(SHA1_XOR, 17).words, 0,
+                                                        700, None)
         finally:
             os.close(gate_r)
             if len(calls) < 2:
