@@ -222,9 +222,10 @@ def chain_search(
     column 32i + b of row r, systematic on its first k columns, with k a
     multiple of 64; the code has length n = 32m, and words come back packed
     the same way.  Only the redundancy parts of the systematic rows are
-    kept.  The chain starts from a shuffled column order's systematic form,
-    and raises ValueError if that form has no nonzero redundancy bit, as no
-    swap exists then.  Each iteration makes one single-column swap and
+    kept.  It raises ValueError for fewer than one iteration.  The chain
+    starts from a shuffled column order's systematic form, and raises
+    ValueError if that form has no nonzero redundancy bit, as no swap exists
+    then.  Each iteration makes one single-column swap and
     copies the information set it leaves into a batch, which is weighed as
     _weigh says, on the fixed WINDOW-bit Stern window.  The chain's find is
     the least (weight, iteration) over its sets: the first set of least
@@ -248,6 +249,8 @@ def chain_search(
     chain's own iteration count, since every set the chain made is weighed.
     On one usable CPU nothing is forked.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     k, n = len(gen), 32 * gen.shape[1]
     rng = Random(chain_seed)
     perm = list(range(n))

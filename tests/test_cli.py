@@ -10,25 +10,65 @@ from pathlib import Path
 import pytest
 
 import linsha
+import pins
 from linsha.cli import entry, main
-from conftest import DATA
-
-TABLE5 = DATA / "table5.hex"
+from pins import TABLE5
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-def run(capsys, *argv):
+def main_output(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process run."""
     try:
         code = main(list(argv))
     except SystemExit as exc:       # argparse's usage errors exit from parse_args
         code = exc.code
     captured = capsys.readouterr()
-    report = (json.loads(captured.out, parse_constant=_reject_constant)
-              if captured.out.strip() else None)
-    return code, report, captured.err
+    return code, captured.out, captured.err
+
+
+def run(capsys, *argv):
+    code, out, err = main_output(capsys, argv)
+    return code, pins.report(out) if out.strip() else None, err
+
+
+def check_pinned(capsys, monkeypatch, row):
+    """The row holds on each of its CPU counts; None leaves the host's."""
+    from linsha import forks
+
+    host = forks.usable_cpus()
+    for cpus in row.cpus:
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda n=cpus or host: n)
+        assert pins.check(row, *main_output(capsys, pins.argv(row))) == [], f"{cpus} CPUs"
+
+
+@pytest.mark.parametrize("row", [row for row in pins.ROWS if row.exit != 2], ids=lambda r: r.id)
+def test_pinned_run(capsys, monkeypatch, row):
+    check_pinned(capsys, monkeypatch, row)
+
+
+@pytest.mark.parametrize("row", [row for row in pins.ROWS if row.exit == 2], ids=lambda r: r.id)
+def test_invalid_input_exits_two(capsys, monkeypatch, row):
+    check_pinned(capsys, monkeypatch, row)
+
+
+def test_pin_checker_reports_each_mismatch(capsys):
+    rows = {row.id: row for row in pins.ROWS}
+    word, refused = rows["search-bootstrap"], rows["census-seed"]
+    code, out, err = main_output(capsys, pins.argv(word))
+    code2, out2, err2 = main_output(capsys, pins.argv(refused))
+    assert pins.check(word, code, out, err) == pins.check(refused, code2, out2, err2) == []
+    heavier, longer = json.loads(out), json.loads(out)
+    heavier["result"]["weight"] = 2
+    longer["result"]["words"].append("00000000")
+    doctored = [
+        (word, code, json.dumps(heavier), err, "result.weight: got 2, want 1"),
+        (word, code, json.dumps(longer), err, "result.words: got "),
+        (word, 1, out, err, "exit 1, want 0"),
+        (refused, code2, out2, err2 + "error: again\n", "stderr is not one error line"),
+        (refused, code2, "{}\n", err2, "stdout is not empty"),
+    ]
+    for row, *run_output, problem in doctored:
+        problems = pins.check(row, *run_output)
+        assert len(problems) == 1 and problems[0].startswith(problem), problems
 
 
 def test_census_payload(capsys):
@@ -40,15 +80,6 @@ def test_census_payload(capsys):
     assert "110" in err
 
 
-def test_verify_word_payload(capsys, table5_path):
-    code, report, _ = run(capsys, "verify-word", "--file", str(table5_path), "--steps", "40")
-    assert code == 0
-    assert report["result"]["valid"] is True
-    assert report["result"]["weight"] == 26
-    assert report["result"]["order"] == "column-major,bit-reversed"
-    assert report["result"]["support"] == [0, 9, 10, 11, 12, 13, 17, 18, 25, 27]
-
-
 def test_verify_word_invalid_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.hex"
     bad.write_text("\n".join(["00000001"] * 20) + "\n")
@@ -58,17 +89,12 @@ def test_verify_word_invalid_exits_one(capsys, tmp_path):
 
 
 def test_collide_default_kernel_succeeds(capsys):
-    # the collide benchmark workload, with its fingerprint
-    import hashlib
-
+    # the count and the digests are pinned in pins.ROWS
     code, report, _ = run(capsys, "collide", "--multiple", "1", "--count", "10", "--seed", "7")
     assert code == 0
-    assert report["result"]["succeeded"] == 10
     sample = report["result"]["sample"]
     assert list(sample) == ["message", "message_prime", "digest", "variant"]
     assert sample["variant"] == "add_linear"
-    assert hashlib.sha256("".join(sample["digest"]).encode()).hexdigest()[:16] == (
-        "4f9711bb8aac707a")
 
 
 @pytest.mark.parametrize("multiple", ["2", "0"])
@@ -77,86 +103,6 @@ def test_collide_multiple_scaling_to_zero_exits_two(capsys, multiple):
     assert code == 2
     assert report is None
     assert err.count("\n") == 1 and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("argv", [
-    # a search is one chain; independent restarts are separate --seed runs
-    ("search", "--steps", "20", "--iterations", "5", "--workers", "2"),
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"),
-    ("local-collision-mc", "--trials", "64", "--workers", "0"),
-    ("local-collision-mc", "--trials", "0"),
-    ("collide", "--seed", "abc"),
-    ("collide", "--seed", "1.5"),
-    ("collide", "--multiple", "2", "--count", "0"),
-    ("collide", "--count", "-1"),
-    ("census", "--kind", "bogus"),
-    ("census", "--steps", "100000"),
-    ("search", "--steps", "1000", "--iterations", "5"),
-    ("extend-word", "--file", str(TABLE5), "--steps", "100000"),
-    ("verify-word", "--file", str(TABLE5), "--steps", "41"),
-    ("search", "--steps", "40", "--budget-secs", "nan"),
-    ("search", "--steps", "40", "--budget-secs", "inf", "--iterations", "5"),
-    ("fig2", "--budget-secs", "nan"),
-    ("fig2", "--budget-secs", "inf"),
-    ("search", "--budget-secs", "-inf"),
-    ("census", "--steps", "abc"),
-    ("census", "--frobnicate"),
-    ("transmogrify",),
-    ("local-collision-mc", "--trials", "64", "--seed", "-1"),
-    ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"),
-    ("fig2", "--min-steps", "45", "--max-steps", "40"),
-    ("collide", "--strict"),
-    # random.Random seeds from |seed|, so a negative seed would repeat a positive one
-    ("search", "--steps", "20", "--iterations", "5", "--seed", "-5"),
-    ("collide", "--seed", "-1"),
-    ("search", "--steps", "20", "--iterations", "5", "--algorithm", "stern"),
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5",
-     "--algorithm", "leon"),
-    # the census draws nothing, so it takes no seed
-    ("census", "--seed", "1"),
-    ("local-collision-mc", "--trials", "5", "--iterations", "7"),
-    ("fig2", "--min-steps", "16", "--max-steps", "18", "--horizon", "15"),
-], ids=["search-workers-2", "fig2-workers-2", "mc-workers-0",
-        "mc-trials-0", "seed-not-a-number", "seed-not-an-integer",
-        "collide-zero-multiple-no-trials", "collide-negative-count", "census-bogus-kind",
-        "census-steps-over-bound", "search-steps-over-bound", "extend-steps-over-bound",
-        "verify-steps-mismatch", "search-budget-nan", "search-budget-inf", "fig2-budget-nan",
-        "fig2-budget-inf", "search-budget-minus-inf", "census-steps-not-a-number",
-        "unknown-flag", "unknown-subcommand", "mc-seed-negative", "search-bootstrap-not-a-number",
-        "fig2-range-empty", "collide-strict", "search-seed-negative", "collide-seed-negative",
-        "search-algorithm", "fig2-algorithm", "census-seed", "mc-iterations-alias",
-        "fig2-horizon-below-range"])
-def test_invalid_input_exits_two(capsys, argv):
-    code, report, err = run(capsys, *argv)
-    assert code == 2
-    assert report is None
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert NAMED_IN_ERROR.get(argv, "") in err
-
-
-# what the error line must name, where a lower layer's own message would not
-NAMED_IN_ERROR = {
-    ("local-collision-mc", "--trials", "64", "--seed", "-1"): "seed must be non-negative, got -1",
-    ("search", "--steps", "20", "--iterations", "5", "--bootstrap", "x"): "--bootstrap",
-    ("fig2", "--min-steps", "45", "--max-steps", "40"): "sweep range is empty",
-    ("collide", "--strict"): "unrecognized arguments: --strict",
-    ("search", "--steps", "20", "--iterations", "5", "--seed", "-5"):
-        "seed must be non-negative, got -5",
-    ("collide", "--seed", "-1"): "seed must be non-negative, got -1",
-    ("search", "--steps", "20", "--iterations", "5", "--algorithm", "stern"):
-        "unrecognized arguments: --algorithm",
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5",
-     "--algorithm", "leon"): "unrecognized arguments: --algorithm",
-    ("search", "--steps", "20", "--iterations", "5", "--workers", "2"):
-        "unrecognized arguments: --workers 2",
-    ("census", "--seed", "1"): "unrecognized arguments: --seed 1",
-    ("local-collision-mc", "--trials", "5", "--iterations", "7"):
-        "unrecognized arguments: --iterations 7",
-    ("fig2", "--min-steps", "16", "--max-steps", "17", "--iterations", "5", "--workers", "2"):
-        "unrecognized arguments: --workers 2",
-    ("fig2", "--min-steps", "16", "--max-steps", "18", "--horizon", "15"):
-        "search horizon 15 lies below the sweep's first step count 16",
-}
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,26 +133,10 @@ def test_elapsed_is_reported_to_the_microsecond(capsys, monkeypatch):
     assert report["elapsed_secs"] == 0.012346
 
 
-def test_collide_relaxed_kernel_fails(capsys):
-    code, report, _ = run(capsys, "collide", "--relaxed", "--count", "2")
-    assert code == 1
-    assert report["result"]["succeeded"] == 0
-    assert report["result"]["first_failure"]["mismatch_steps"]
-
-
 def test_seed_random_records_integer(capsys):
     code, report, _ = run(capsys, "collide", "--count", "1", "--seed", "random")
     assert code == 0
     assert isinstance(report["seed"], int) and 0 <= report["seed"] < 2 ** 32
-
-
-def test_table1_payload(capsys):
-    code, report, _ = run(capsys, "table1")
-    assert code == 0
-    rows = report["result"]
-    assert len(rows) == 10
-    assert rows[8]["coefficients"] == {"H": 1}
-    assert rows[0]["coefficients"] == {} and rows[9]["coefficients"] == {}
 
 
 def test_table2_payload(capsys):
@@ -225,15 +155,6 @@ def test_table3_writes_csv(capsys, tmp_path):
     assert report["result"]["total_cost"] == 84
     assert report["result"]["first16_cost"] == 20
     assert out.read_text().startswith("step,maj,ch,e\n")
-
-
-def test_solve_disturbance_payload(capsys):
-    code, report, _ = run(capsys, "solve-disturbance")
-    assert code == 0
-    r = report["result"]
-    assert r["order"] == 16 and r["distinct_patterns"] == 16
-    assert r["residuals_zero"] and r["low28_zero"]
-    assert r["generator"][0] == "10000000"
 
 
 def test_search_roundtrip_through_file(capsys, tmp_path):
@@ -314,17 +235,6 @@ def test_vectors_standard_matches_reference(capsys):
             "xor_expansion": "bf2594048f2dcd9d59320e2a772e0d8f3928f864855fc58f1e1f5285ca8ae9be",
         },
     }
-
-
-def test_variant_run_payload(capsys):
-    code, report, _ = run(capsys, "variant-run", "--variant", "no_sbox", "--steps", "48")
-    assert code == 0
-    variant = report["result"]["variant"]
-    assert list(variant.items()) == [
-        ("sbox_mode", "identity"), ("bool_mode", "standard"),
-        ("expansion_kind", "sha256-add-id-sigma"), ("steps", 48)]
-    assert report["result"]["digest"] == (
-        "fe37498667339ebbec9adecb9c2914699f137177087286f208c8113558ab25b2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -566,6 +566,13 @@ class TestAnyCode:
         with pytest.raises(ValueError, match="no nonzero redundancy bit"):
             isd.chain_search(gen, 0, 3, None)
 
+    def test_zero_iterations_are_refused(self, monkeypatch):
+        # refused by name before any elimination; zero iterations once
+        # planned zero processes and raised IndexError in forks.forked
+        monkeypatch.setattr(isd, "_systematic", lambda *args: pytest.fail("eliminated"))
+        with pytest.raises(ValueError, match="^iterations must be at least 1, got 0$"):
+            isd.chain_search(build_generator(XOR, 20).words, 0, 0, None)
+
 
 class TestSplit:
     """A chain whose batches forked weighers take off its ring finds what one
