@@ -211,11 +211,14 @@ class McResult(NamedTuple):
 
 _MC_BATCH = 1 << 18          # trials per chunk: one call of _mc_chunk
 _MC_SLICE = 1 << 14          # trials drawn and stepped together, so their words stay in L2
+# the message difference at steps i..i+8: the disturbance and its corrections,
+# as bit 31 of eight trials at once (0xFF where the MSB is injected)
+_MC_DW = bytes(0xFF * c for c in (1, *MSB_CORRECTION_COEFFS))
 
 
-def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray) -> int:
-    """Successes among nt trials of the disturbance schedule corrections,
-    injected at steps i..i+8; each entry is 0 or the MSB.
+def _mc_chunk(rng: np.random.Generator, nt: int, i: int) -> int:
+    """Successes among nt trials of the disturbance schedule _MC_DW,
+    injected at steps i..i+8.
 
     Without S-boxes the paired run is always the first run XOR a bit-31
     pattern: an MSB difference crosses every addition carry-free, Σ0/Σ1 are
@@ -303,12 +306,11 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
             np.greater_equal(e, msb, out=rows[t + 14])
         planes[:, lo // 8:(lo + ns + 7) // 8] = np.packbits(rows, axis=1)
     bitgen.advance((17 * nt + 1) // 2 - pos)
-    dws = [0xFF if c else 0 for c in corrections]      # dw for eight trials at once
     da = db = dc = dd = de = df = dg = dh = np.zeros(nb, np.uint8)
     ap, ep = planes[:11], planes[11:]
     for t in range(9):
         a, b, c, e, f, g = ap[t + 2], ap[t + 1], ap[t], ep[t + 2], ep[t + 1], ep[t]
-        dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ dws[t]
+        dt1 = dh ^ de ^ (ch(e ^ de, f ^ df, g ^ dg) ^ ch(e, f, g)) ^ _MC_DW[t]
         dt2 = da ^ (maj(a ^ da, b ^ db, c ^ dc) ^ maj(a, b, c))
         da, db, dc, dd, de, df, dg, dh = dt1 ^ dt2, da, db, dc, dd ^ dt1, de, df, dg
     differs = da | db | dc | dd | de | df | dg | dh
@@ -316,8 +318,7 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int, corrections: np.ndarray
     return nt - int(np.count_nonzero(np.unpackbits(differs, count=nt)))
 
 
-def _mc_streams(i: int, corrections: np.ndarray, seed: int,
-                streams: Sequence[tuple[int, int]]) -> int:
+def _mc_streams(i: int, seed: int, streams: Sequence[tuple[int, int]]) -> int:
     """Summed successes of the trial streams (worker index, trials)."""
     import numpy as np
 
@@ -325,7 +326,7 @@ def _mc_streams(i: int, corrections: np.ndarray, seed: int,
     for widx, chunk in streams:
         rng = np.random.default_rng([seed, widx])
         for done in range(0, chunk, _MC_BATCH):
-            successes += _mc_chunk(rng, min(_MC_BATCH, chunk - done), i, corrections)
+            successes += _mc_chunk(rng, min(_MC_BATCH, chunk - done), i)
     return successes
 
 
@@ -355,18 +356,17 @@ def monte_carlo_local_collision(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    # numpy is imported by the functions that use it: table2 and table3 also
-    # load this module, and they never run numpy code
-    import numpy as np
+    # numpy is imported before the streams fork, so that no child imports it
+    # again, and not at the top: table2 and table3 load this module too
+    import numpy  # noqa: F401
 
-    schedule = np.array([MSB * c for c in (1, *MSB_CORRECTION_COEFFS)], dtype=np.uint32)
     base, extra = divmod(trials, workers)
     # streams without trials draw nothing and contribute nothing
     streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
     procs = min(len(streams), forks.usable_cpus())
     blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
               for p in range(procs)]
-    successes = sum(forks.forked(lambda block: _mc_streams(i, schedule, seed, block), blocks))
+    successes = sum(forks.forked(lambda block: _mc_streams(i, seed, block), blocks))
     return McResult(successes, trials)
 
 

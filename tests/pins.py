@@ -55,6 +55,13 @@ def refused(name: str, argv: str, error: str = "") -> Row:
     return Row(name, argv, exit=2, error=error)
 
 
+def searched(name: str, args: str, weight: int, found_at: int, words: str,
+             cpus: tuple = (None,)) -> Row:
+    """A seeded search: its word's weight, the iteration that found it and its hash."""
+    return Row(name, f"search {args}", {"result.weight": weight, "result.found_at_iteration":
+                                        found_at, "result.words": Hashed(words)}, cpus=cpus)
+
+
 ROWS = [
     Row("vectors", "vectors", {"seed": None}),
     Row("variant-run", "variant-run --variant no_sbox --steps 48", {
@@ -105,9 +112,28 @@ ROWS = [
     Row("search40", "search --steps 40 --iterations 1000 --seed 0", {
         "seed": 0, "result.weight": 316, "result.found_at_iteration": 702,
         "result.words": Hashed("01d8b95e2d026def")}, cpus=(None, 1, 2)),
+    searched("search40-seed1", "--steps 40 --iterations 1000 --seed 1",
+             315, 188, "1cd0f7e926df7bfb"),
+    searched("search40-seed5", "--steps 40 --iterations 1000 --seed 5",
+             310, 291, "5d0db9bb278e4ba1"),
+    searched("search42-seed3", "--steps 42 --iterations 500 --seed 3",
+             349, 24, "794ba867edf5f63e"),
+    searched("search30-seed3", "--steps 30 --iterations 300 --seed 3",
+             9, 116, "6f60cfaa0e739991", cpus=(1, 2)),
+    searched("search80", "--steps 80 --iterations 300 --seed 0",
+             920, 248, "85e47838753c89bb"),
+    searched("sha1-64-300", "--kind sha1-xor --steps 64 --iterations 300 --seed 3",
+             30, 0, "817332f4bfec34f4"),
+    searched("sha1-80-300", "--kind sha1-xor --steps 80 --iterations 300 --seed 3",
+             44, 67, "0857af19adc29a60"),
+    # the paper's table-5 word, found again by the default chain at seed 0:
+    # the hash is that of data/table5.hex read in its resolved order
+    searched("table5", "--steps 40 --iterations 24000 --seed 0",
+             26, 23317, "d74c59df9be52f07"),
     # 16 steps leave no redundancy: the unit word is reported without a chain
-    Row("search-16", "search --steps 16 --iterations 1",
-        {"result.iterations_run": 0, "result.found_at_iteration": None}),
+    Row("search-16", "search --steps 16 --iterations 1", {
+        "result.weight": 1, "result.origin": "search",
+        "result.iterations_run": 0, "result.found_at_iteration": None}),
     # the 20-step word, extended, weighs 1, which no set of the 22-step chain
     # beats: the bootstrap word stands, found at no iteration
     Row("search-bootstrap", "search --steps 22 --iterations 40 --bootstrap 20", {
@@ -121,18 +147,15 @@ ROWS = [
         {"result.iterations_run": 1}),
     # batches of 195 and 105 sets: on two CPUs a forked weigher takes the
     # first off the ring and the caller weighs the last, on one the caller both
-    Row("sha1-17-300", "search --kind sha1-xor --steps 17 --iterations 300 --seed 0", {
-        "result.weight": 1, "result.found_at_iteration": 0,
-        "result.words": Hashed("cd0dd3ede3ae05b8")}, cpus=(1, 2)),
+    searched("sha1-17-300", "--kind sha1-xor --steps 17 --iterations 300 --seed 0",
+             1, 0, "cd0dd3ede3ae05b8", cpus=(1, 2)),
     # every set has a row of weight 1, which no pair can beat, so no pair is weighed
-    Row("sha256-17-1000", "search --kind sha256-xor --steps 17 --iterations 1000 --seed 0", {
-        "result.weight": 1, "result.found_at_iteration": 0,
-        "result.words": Hashed("dd610b74a1201ffa")}, cpus=(1, 2)),
+    searched("sha256-17-1000", "--kind sha256-xor --steps 17 --iterations 1000 --seed 0",
+             1, 0, "dd610b74a1201ffa", cpus=(1, 2)),
     # no set has a row light enough to skip its pairs: the word is the Stern
     # pair of rows 14 and 25 of the first set
-    Row("sha1-40-300", "search --kind sha1-xor --steps 40 --iterations 300 --seed 1", {
-        "result.weight": 10, "result.found_at_iteration": 0,
-        "result.words": Hashed("3915855b29f9c6d0")}, cpus=(1, 2)),
+    searched("sha1-40-300", "--kind sha1-xor --steps 40 --iterations 300 --seed 1",
+             10, 0, "3915855b29f9c6d0", cpus=(1, 2)),
     # rows 41 and 42 start from the row-40 word; 43 and 44 extend 42's
     Row("fig2", "fig2 --min-steps 40 --max-steps 44 --iterations 300", {
         "result.rows.*.weight": [319, 334, 349, 363, 380],
@@ -143,6 +166,15 @@ ROWS = [
     # the mc benchmark workload
     Row("mc-bench", "local-collision-mc --start-step 20 --workers 2 --trials 2097152 --seed 0",
         {"result.successes": 14223}, cpus=(1, 2)),
+    # (seed, workers) alone fix the count, however many processes run the streams
+    *(Row(f"mc-workers-{w}", f"local-collision-mc --trials 100000 --seed 2 --workers {w}",
+          {"result.successes": successes}, cpus=(1, 2))
+      for w, successes in {1: 679, 2: 692, 3: 693, 5: 680}.items()),
+    # each of the 3 streams runs a full chunk, then a tail of 71191 or 71190
+    # trials that ends inside its fifth slice
+    *(Row(f"mc-chunks-seed{s}", f"local-collision-mc --trials 1000003 --workers 3 --seed {s}",
+          {"result.successes": successes}, cpus=(1, 2))
+      for s, successes in {1: 6740, 2: 6829, 3: 6824}.items()),
     # every input error: one error line, no report
     refused("collide-multiple-0", "collide --multiple 0"),
     refused("collide-zero-multiple-no-trials", "collide --multiple 2 --count 0"),

@@ -144,23 +144,25 @@ class TestActivity:
         assert isolated_condition_count(0) == 9
 
 
-def two_run_chunk(rng, nt, i, corrections):
+def two_run_chunk(rng, nt, i):
     """Reference for boolanalysis._mc_chunk: both runs of every trial through
-    the full 32-bit step, compared on all eight registers.  Same draws in the
-    same order: eight registers, then one message word per step."""
+    the full 32-bit step, compared on all eight registers, with the MSB
+    injected at the steps where boolanalysis._MC_DW is 0xFF.  Same draws in
+    the same order: eight registers, then one message word per step."""
     config = make_variant("no_sbox")
     state = state2 = RegisterState(*(rng.integers(0, 1 << 32, nt, dtype=np.uint32)
                                      for _ in range(8)))
-    for t in range(9):
+    for t, dw in enumerate(boolanalysis._MC_DW):
         w = rng.integers(0, 1 << 32, nt, dtype=np.uint32)
         state = step(state, w, K[(i + t) % 64], config)
-        state2 = step(state2, w ^ corrections[t], K[(i + t) % 64], config)
+        state2 = step(state2, w ^ (MSB if dw else 0), K[(i + t) % 64], config)
     same = np.logical_and.reduce([x == x2 for x, x2 in zip(state, state2)])
     return int(same.sum())
 
 
-MSB_SCHEDULE = np.array([MSB, 0, 0, MSB, MSB, 0, 0, 0, MSB], dtype=np.uint32)
-ZERO_SCHEDULE = np.zeros(9, dtype=np.uint32)
+# the MSB disturbance at offset 0 and its corrections at offsets 3, 4 and 8
+MSB_SCHEDULE = bytes([0xFF, 0, 0, 0xFF, 0xFF, 0, 0, 0, 0xFF])
+ZERO_SCHEDULE = bytes(9)
 
 
 class TestBitPlaneKernel:
@@ -168,11 +170,12 @@ class TestBitPlaneKernel:
 
     @pytest.mark.parametrize("schedule", [MSB_SCHEDULE, ZERO_SCHEDULE], ids=["msb", "zero"])
     @pytest.mark.parametrize("start", [0, 20, 55])
-    def test_matches_two_run_reference(self, start, schedule):
+    def test_matches_two_run_reference(self, monkeypatch, start, schedule):
+        monkeypatch.setattr(boolanalysis, "_MC_DW", schedule)
         for nt in (1, 7, 8, 9, self.SLICE - 1, self.SLICE + 1, 100000):
             for seed in (0, 1):
-                got = boolanalysis._mc_chunk(np.random.default_rng([seed, 7]), nt, start, schedule)
-                want = two_run_chunk(np.random.default_rng([seed, 7]), nt, start, schedule)
+                got = boolanalysis._mc_chunk(np.random.default_rng([seed, 7]), nt, start)
+                want = two_run_chunk(np.random.default_rng([seed, 7]), nt, start)
                 assert got == want, (nt, seed)
 
     @pytest.mark.parametrize("tail", [5, 20001])
@@ -183,16 +186,16 @@ class TestBitPlaneKernel:
         # An even chunk only permutes its trials if a draw's halves are
         # swapped, so the odd 20001-trial tail is what catches that.
         batch = boolanalysis._MC_BATCH
-        got = boolanalysis._mc_streams(20, MSB_SCHEDULE, seed, [(0, batch + tail)])
+        got = boolanalysis._mc_streams(20, seed, [(0, batch + tail)])
         rng = np.random.default_rng([seed, 0])
-        want = sum(two_run_chunk(rng, nt, 20, MSB_SCHEDULE) for nt in (batch, tail))
+        want = sum(two_run_chunk(rng, nt, 20) for nt in (batch, tail))
         assert got == want
 
     def test_chunk_leaves_the_generator_where_integers_does(self):
         # success counts do not see trials shifted or permuted; the state does
         for nt in (2, self.SLICE + 2):
             rng, ref = np.random.default_rng([0, 7]), np.random.default_rng([0, 7])
-            boolanalysis._mc_chunk(rng, nt, 20, MSB_SCHEDULE)
+            boolanalysis._mc_chunk(rng, nt, 20)
             for _ in range(17):
                 ref.integers(0, 1 << 32, nt, dtype=np.uint32)
             assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
@@ -202,23 +205,14 @@ class TestBitPlaneKernel:
         rng = np.random.default_rng([0, 7])
         tracemalloc.start()
         try:
-            boolanalysis._mc_chunk(rng, boolanalysis._MC_BATCH, 20, MSB_SCHEDULE)
+            boolanalysis._mc_chunk(rng, boolanalysis._MC_BATCH, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 6_000_000
 
-    def test_schedule_matches_the_monte_carlo(self, monkeypatch):
-        schedules = []
-        chunk = boolanalysis._mc_chunk
-
-        def spy(rng, nt, i, corrections):
-            schedules.append(corrections.copy())
-            return chunk(rng, nt, i, corrections)
-
-        monkeypatch.setattr(boolanalysis, "_mc_chunk", spy)
-        monte_carlo_local_collision(20, 100, seed=0)
-        assert [s.tolist() for s in schedules] == [MSB_SCHEDULE.tolist()]
+    def test_schedule_matches_the_monte_carlo(self):
+        assert boolanalysis._MC_DW == MSB_SCHEDULE
 
 
 class TestMonteCarlo:
@@ -232,27 +226,6 @@ class TestMonteCarlo:
         b = monte_carlo_local_collision(20, 10000, seed=2, workers=3)
         assert a.successes == b.successes
         assert a.trials == 10000
-
-    # (seed, workers) alone fix the count, however many processes run the
-    # streams; these were recorded with every stream in one process
-    PINNED = {1: 679, 2: 692, 3: 693, 5: 680}
-
-    @pytest.mark.parametrize("workers", sorted(PINNED))
-    def test_pinned_worker_split_counts(self, workers):
-        mc = monte_carlo_local_collision(20, 100000, seed=2, workers=workers)
-        assert mc.successes == self.PINNED[workers]
-
-    # successes by seed at 1000003 trials and 3 workers, recorded on one CPU
-    # and on two: each stream runs a full chunk, then a tail of 71191 or
-    # 71190 trials that ends inside its fifth slice
-    PINNED_LONG = {1: 6740, 2: 6829, 3: 6824}
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pinned_counts_across_chunks(self, monkeypatch, cpus):
-        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: cpus)
-        got = {seed: monte_carlo_local_collision(20, 1000003, seed=seed, workers=3).successes
-               for seed in self.PINNED_LONG}
-        assert got == self.PINNED_LONG
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -273,11 +246,14 @@ class TestMonteCarlo:
         return chunk
 
     def test_one_cpu_runs_inline_with_same_counts(self, monkeypatch, forks):
+        # the counts themselves are rows mc-workers-* of tests/pins.py
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
-        got = {w: monte_carlo_local_collision(20, 100000, seed=2, workers=w).successes
-               for w in self.PINNED}
-        assert got == self.PINNED
+        inline = monte_carlo_local_collision(20, 100000, seed=2, workers=3)
         assert forks == []
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 3)
+        assert monte_carlo_local_collision(20, 100000, seed=2, workers=3) == inline
+        assert len(forks) == 2
+        assert_reaped(forks)
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, forks):
         # the caller's own calls of _mc_streams: a child's land in its copy
@@ -288,16 +264,17 @@ class TestMonteCarlo:
             callers.append(os.getpid())
             return streams(*args)
 
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
+        inline = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
         monkeypatch.setattr(boolanalysis, "_mc_streams", spy)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
-        mc = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
-        assert mc.successes == self.PINNED[5]
+        assert monte_carlo_local_collision(20, 100000, seed=2, workers=5) == inline
         assert len(forks) == 1 and callers == [os.getpid()]
         assert_reaped(forks)
 
     def test_workers_without_trials_contribute_nothing(self, monkeypatch):
         # ten streams of one trial each; the other six draw nothing
-        ones = boolanalysis._mc_streams(20, MSB_SCHEDULE, 2, [(w, 1) for w in range(10)])
+        ones = boolanalysis._mc_streams(20, 2, [(w, 1) for w in range(10)])
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
         sizes, chunk = [], boolanalysis._mc_chunk
 
@@ -334,8 +311,9 @@ class TestMonteCarlo:
         assert len(forks) == 2
         assert_reaped(forks)
 
-    def test_zero_disturbance_always_collides(self):
-        assert boolanalysis._mc_streams(20, ZERO_SCHEDULE, 0, [(0, 2048)]) == 2048
+    def test_zero_disturbance_always_collides(self, monkeypatch):
+        monkeypatch.setattr(boolanalysis, "_MC_DW", ZERO_SCHEDULE)
+        assert boolanalysis._mc_streams(20, 0, [(0, 2048)]) == 2048
 
     def test_observed_rate_in_plausible_band(self):
         # the independence model says 2^-9; the exact rate is 7/1024 = 2^-7.19

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, reproducibility."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -48,6 +49,16 @@ def test_pinned_run(capsys, monkeypatch, row):
 @pytest.mark.parametrize("row", [row for row in pins.ROWS if row.exit == 2], ids=lambda r: r.id)
 def test_invalid_input_exits_two(capsys, monkeypatch, row):
     check_pinned(capsys, monkeypatch, row)
+
+
+def test_rows_are_well_formed(table5_words):
+    ids = [row.id for row in pins.ROWS]
+    assert len(set(ids)) == len(ids)
+    # so that `python tests/pins.py` holds on a 2-vCPU host
+    assert {cpus for row in pins.ROWS for cpus in row.cpus} <= {None, 1, 2}
+    rediscovered = pins.ROWS[ids.index("table5")].want["result.words"]
+    assert rediscovered.prefix == hashlib.sha256(
+        ",".join(f"{w:08x}" for w in table5_words).encode()).hexdigest()[:16]
 
 
 def test_pin_checker_reports_each_mismatch(capsys):
