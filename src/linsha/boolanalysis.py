@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import forks
 from .primitives import (FIPS_IV, K, M32, ExpansionKind, RegisterState, as_block, ch, expand, maj,
                          step)
 from .disturbance import propagate, superpose
@@ -357,8 +356,9 @@ def monte_carlo_local_collision(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     # numpy is imported before the streams fork, so that no child imports it
-    # again, and not at the top: table2 and table3 load this module too
+    # again; neither it nor forks at the top: table2 and table3 load this module
     import numpy  # noqa: F401
+    from . import forks
 
     base, extra = divmod(trials, workers)
     # streams without trials draw nothing and contribute nothing

@@ -43,9 +43,11 @@ KINDS = [k.value for k in ExpansionKind]
 # imports numpy.random on first use, so the Monte Carlo names it.
 COMMAND_MODULES = {
     "solve-disturbance": ("linsha.ringalg",),
-    **dict.fromkeys(("collide", "table1"), ("linsha.disturbance",)),
-    **dict.fromkeys(("table2", "table3"), ("linsha.boolanalysis",)),
-    "local-collision-mc": ("linsha.boolanalysis", "numpy.random"),
+    "collide": ("linsha.disturbance", "linsha.ringalg"),
+    "table1": ("linsha.disturbance",),
+    "table2": ("linsha.boolanalysis",),
+    "table3": ("linsha.boolanalysis", "linsha.ringalg"),
+    "local-collision-mc": ("linsha.boolanalysis", "linsha.forks", "numpy.random"),
     **dict.fromkeys(("census", "verify-word", "extend-word"), ("linsha.codewords",)),
     **dict.fromkeys(("search", "fig2"), ("linsha.codewords", "linsha.isd")),
 }
@@ -242,10 +244,10 @@ def cmd_search(args) -> tuple[Any, str, int]:
     res = low_weight_search(g, params)
     if args.out:
         write_codeword_file(args.out, res.words, (
-            f"weight {res.weight} at {res.n_steps} steps, kind {kind.value}",
+            f"weight {res.weight} at {len(res.words)} steps, kind {kind.value}",
             f"seed {args.seed}, {res.iterations_run} iterations, origin {res.origin}"))
     result = {"weight": res.weight, "words": _hexlist(res.words),
-              "steps": res.n_steps, "kind": kind.value, "iterations_run": res.iterations_run,
+              "steps": len(res.words), "kind": kind.value, "iterations_run": res.iterations_run,
               "found_at_iteration": res.found_at_iteration, "origin": res.origin,
               "out": args.out}
     human = (f"best weight {res.weight} at {args.steps} steps "

@@ -142,22 +142,24 @@ class SearchParams(Frozen):
 class SearchResult(NamedTuple):
     words: tuple[int, ...]
     weight: int
-    n_steps: int
     iterations_run: int
     found_at_iteration: int | None       # None: no chain iteration found the word
-    origin: str                          # "search" or "bootstrap(<n>)"
+    origin: str                          # "search" or "bootstrap(<steps of the incumbent>)"
 
 
-def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
+def low_weight_search(
+    g: GeneratorMatrix, params: SearchParams, incumbents: Sequence[SearchResult] = ()
+) -> SearchResult:
     """Probabilistic minimum-weight search over the expansion code.
 
     One Canteaut-Chabaud chain of cheap single-column information-set
     updates, each set weighed by its rows and by the row pairs that agree on
-    the Stern collision window.  Optional bootstrap stages search a shorter
-    length first and extend the winner, which is sound because truncating a
-    valid word is valid again; the extended incumbent stands unless the main
-    chain's find is strictly lighter.  A time budget is split into equal
-    slices from the start, one per bootstrap stage and the last for the main
+    the Stern collision window.  Incumbents are results at at most g's
+    length; the lightest extension of them stands unless the chain's find
+    is strictly lighter.  Optional bootstrap stages search shorter lengths
+    first and join the incumbents, which is sound because truncating a
+    valid word is valid again.  A time budget is split into equal slices
+    from the start, one per bootstrap stage and the last for the main
     search.  An iteration is one swap and one weighed information set, and
     every chain runs at least one, so on every code a budget that expires
     during setup still yields a word.  Deterministic for fixed (seed,
@@ -165,7 +167,7 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
     """
     t0 = time.monotonic()
     stages = len(params.bootstrap_lengths) + 1
-    shorter = []
+    incumbents = list(incumbents)
     for s, n1 in enumerate(params.bootstrap_lengths):
         if not 16 <= n1 < g.n_steps:
             raise ValueError(f"bootstrap length {n1} outside [16, {g.n_steps})")
@@ -175,28 +177,21 @@ def low_weight_search(g: GeneratorMatrix, params: SearchParams) -> SearchResult:
             # a stage that overran leaves the next one a token slice
             end = t0 + params.budget_secs * (s + 1) / stages
             sub = sub.replace(budget_secs=max(end - time.monotonic(), 1e-6))
-        shorter.append(low_weight_search(g1, sub))
-    return _search_from(g, params, shorter, t0)
+        incumbents.append(low_weight_search(g1, sub))
 
-
-def _search_from(
-    g: GeneratorMatrix, params: SearchParams, shorter: Sequence[SearchResult], t0: float
-) -> SearchResult:
-    """The chain of low_weight_search, from the lightest extension of the
-    shorter results (if any) as incumbent; params' time budget runs from t0."""
     origin = "search"
     best_w = best_words = None
-    for sub in shorter:
+    for sub in incumbents:
         extended = tuple(extend_codeword(sub.words, g.n_steps, g.kind))
         w = seq_weight(extended)
         if best_w is None or w < best_w:
             best_w, best_words = w, extended
-            origin = f"bootstrap({sub.n_steps})"
+            origin = f"bootstrap({len(sub.words)})"
 
     if g.n_bits == 512:
         # no redundancy, every vector is a codeword; a unit vector is minimal
         words = tuple([1] + [0] * (g.n_steps - 1))
-        return SearchResult(words, 1, g.n_steps, 0, None, "search")
+        return SearchResult(words, 1, 0, None, "search")
 
     # imported here: the chain runs on numpy, which the other commands never load
     from .isd import chain_search
@@ -214,7 +209,7 @@ def _search_from(
     valid, weight = verify_codeword(best_words, g.kind)
     if not valid or weight != best_w:
         raise AssertionError("search produced an invalid word; layout bug")
-    return SearchResult(best_words, weight, g.n_steps, iters_done, found_at, origin)
+    return SearchResult(best_words, weight, iters_done, found_at, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +303,10 @@ def fig2_sweep(
     searched40: SearchResult | None = None
     for n in steps_list:
         if n <= search_horizon:
-            if n <= 40:
-                res = low_weight_search(build_generator(kind, n), params)
-            else:
-                if searched40 is None:
-                    searched40 = low_weight_search(build_generator(kind, 40), params)
-                res = _search_from(build_generator(kind, n), params, (searched40,),
-                                   time.monotonic())
+            if n > 40 and searched40 is None:
+                searched40 = low_weight_search(build_generator(kind, 40), params)
+            res = low_weight_search(build_generator(kind, n), params,
+                                    (searched40,) if n > 40 else ())
             if n == 40:
                 searched40 = res
             row = SweepRow(n, res.weight, "searched", res.iterations_run, res.words)

@@ -13,7 +13,6 @@ from typing import NamedTuple, Sequence
 
 from .primitives import (FIPS_IV, M32, ExpansionKind, RegisterState, _functions, _update, as_block,
                          compress, expand)
-from .ringalg import element_order, solve_disturbance_kernel
 from .variants import make_variant
 
 # correction coefficients at offsets 1..8 after a disturbance (offset 0 is the
@@ -99,6 +98,8 @@ def scaled_kernel(multiple: int, strict: bool = True) -> list[int]:
     """
     if not 0 <= multiple <= 15:
         raise ValueError("multiple must be in 0..15")
+    # imported here: table1 and table2 load this module, and never ringalg
+    from .ringalg import element_order, solve_disturbance_kernel
     delta = solve_disturbance_kernel(strict)[0]
     scaled = [(multiple * x) & M32 for x in delta]
     if not any(scaled):

@@ -77,7 +77,7 @@ def _swap(red: np.ndarray, has: np.ndarray, j: int, wq: int, sq: int) -> None:
     red ^= row[:, None] & hit
 
 
-def _systematic(gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random) -> np.ndarray:
+def _systematic(gen: np.ndarray, perm: list[int], rng: Random) -> np.ndarray:
     """Redundancy part of the generator in systematic form on the columns
     perm[0..k-1], in that order (perm maps position -> original column).
 
@@ -95,6 +95,7 @@ def _systematic(gen: np.ndarray, perm: list[int], k: int, n: int, rng: Random) -
     redundancy columns in the order of perm[k..]; only their word-major words
     are returned (k is a multiple of 64).
     """
+    k, n = len(gen), len(perm)
     # the rows' words after the message, as uint64 words: redundancy position q
     # holds column k + q until a swap moves it
     words = np.zeros((k, 2 * -(-(gen.shape[1] - k // 32) // 2)), dtype="<u4")
@@ -193,10 +194,10 @@ def _weigh(sets: np.ndarray, window: int) -> list[tuple[int, tuple[int, ...]]]:
     return best
 
 
-def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _word(red: np.ndarray, perm: np.ndarray, rows: tuple[int, ...]) -> tuple[int, ...]:
     """The codeword summing `rows` of one systematic form, in original column
     order as little-endian uint32 words."""
-    k = red.shape[1]
+    k, n = red.shape[1], len(perm)
     cw = np.zeros(n, dtype=np.uint8)
     cw[list(rows)] = 1
     cw[k:] = _unpack(np.bitwise_xor.reduce(red[:, list(rows)], axis=1), n - k)
@@ -255,7 +256,7 @@ def chain_search(
     rng = Random(chain_seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    red = _systematic(gen, perm, k, n, rng)
+    red = _systematic(gen, perm, rng)
     if not red.any():
         raise ValueError(f"the [{n}, {k}] code has no nonzero redundancy bit to swap in")
     perm = np.array(perm, dtype=np.min_scalar_type(n))     # uint16: batched copies stay small
@@ -280,7 +281,7 @@ def chain_search(
         batch = sets[slot]
         for i, (w, rows) in enumerate(_weigh(batch[:, :count], WINDOW)):
             if (w, first + i) < best[:2]:
-                best = (w, first + i, _word(batch[:, i], perms[slot, i], rows, n))
+                best = (w, first + i, _word(batch[:, i], perms[slot, i], rows))
 
     def serve() -> tuple:
         """Weigh full batches off the ring until the chain has closed it."""

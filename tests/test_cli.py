@@ -316,7 +316,7 @@ def run_fresh(*argv, numpy=True):
 # what the parser needs, then each strand's layers, and each command's own
 PARSER = ["linsha.cli", "linsha.primitives", "linsha.variants"]
 Z32 = ["linsha.disturbance", "linsha.ringalg"]
-NO_SBOX = ["linsha.boolanalysis", "linsha.forks", *Z32]
+NO_SBOX = ["linsha.boolanalysis", "linsha.disturbance"]
 GF2 = ["linsha.codewords"]
 ISD = ["linsha.forks", "linsha.isd", "numpy"]
 LOADS = [
@@ -324,10 +324,10 @@ LOADS = [
     (("variant-run", "--variant", "no_sbox"), []),
     (("solve-disturbance", "--strict"), ["linsha.ringalg"]),
     (("collide", "--count", "2"), Z32),
-    (("table1",), Z32),
+    (("table1",), ["linsha.disturbance"]),
     (("table2",), NO_SBOX),
-    (("table3",), NO_SBOX),
-    (("local-collision-mc", "--trials", "4096"), [*NO_SBOX, "numpy"]),
+    (("table3",), [*NO_SBOX, "linsha.ringalg"]),
+    (("local-collision-mc", "--trials", "4096"), [*NO_SBOX, "linsha.forks", "numpy"]),
     (("census", "--steps", "20"), GF2),
     (("verify-word", "--file", str(TABLE5)), GF2),
     (("extend-word", "--file", str(TABLE5), "--steps", "48"), GF2),

@@ -13,6 +13,7 @@ from linsha import codewords, isd
 from linsha.codewords import (
     XOR_KINDS,
     SearchParams,
+    SearchResult,
     bitrev32,
     build_generator,
     extend_codeword,
@@ -375,6 +376,22 @@ class TestSearch:
         valid, w = verify_codeword(res.words, XOR)
         assert valid and w == res.weight and len(res.words) == 22
 
+    def test_incumbents_stand_unless_the_chain_is_lighter(self, table5_words):
+        # the table-5 word extended to 41 steps weighs 35, where 20 chain
+        # iterations find 350 at iteration 2; the expansion of the all-ones
+        # message at 30 steps extends to 900, and the chain's find replaces it
+        g, params = build_generator(XOR, 41), SearchParams(iterations=20)
+        chain = low_weight_search(g, params)
+        assert (chain.weight, chain.found_at_iteration, chain.origin) == (350, 2, "search")
+        light = SearchResult(tuple(table5_words), 26, 0, None, "search")
+        res = low_weight_search(g, params, (light,))
+        assert res == (tuple(extend_codeword(table5_words, 41, XOR)), 35, 20, None,
+                       "bootstrap(40)")
+        heavy = tuple(expand([0xFFFFFFFF] * 16, XOR, 30))
+        assert seq_weight(extend_codeword(heavy, 41, XOR)) == 900
+        heavy = SearchResult(heavy, seq_weight(heavy), 0, None, "search")
+        assert low_weight_search(g, params, (heavy,)) == chain
+
     def test_bootstrap_length_validated(self):
         g = build_generator(XOR, 22)
         with pytest.raises(ValueError):
@@ -452,14 +469,15 @@ class TestSweep:
             searched.append(gen.shape[1])       # one uint32 word per step
             return chain_search(gen, *args)
 
-        def search_spy(g, params):
+        def search_spy(g, *args):
             searched.append(("low_weight_search", g.n_steps))
-            return search(g, params)
+            return search(g, *args)
 
         monkeypatch.setattr(isd, "chain_search", chain_spy)
         monkeypatch.setattr(codewords, "low_weight_search", search_spy)
         rows = fig2_sweep(range(40, 43), SearchParams(iterations=50))
-        assert searched == [("low_weight_search", 40), 40, 41, 42]
+        assert searched == [("low_weight_search", 40), 40, ("low_weight_search", 41), 41,
+                            ("low_weight_search", 42), 42]
         assert [(r.steps, r.weight, r.method, r.iterations, word_hash(r.words))
                 for r in rows] == [
             (40, 321, "searched", 50, "db1407d7ccc67568"),
@@ -506,7 +524,7 @@ class TestSystematic:
             perm_fast, perm_slow = list(range(n)), list(range(n))
             fast.shuffle(perm_fast)
             slow.shuffle(perm_slow)
-            red = isd._systematic(gen, perm_fast, k, n, fast)
+            red = isd._systematic(gen, perm_fast, fast)
             assert np.array_equal(red, systematic_by_elimination(gen, perm_slow, k, n, slow)), seed
             assert perm_fast == perm_slow, seed
             assert fast.random() == slow.random(), seed
