@@ -8,10 +8,15 @@ codes: 0 success, 1 the computation ran but the check failed (invalid word,
 missed collision), 2 usage error.
 
 Each command loads only the layer modules it runs, numpy among them where it
-runs numpy code: `main` imports the command's entry of `COMMAND_MODULES`
-before the clock starts, so elapsed_secs never includes import time.  The
-handlers import their names from those modules; the package API's names
-also resolve as attributes of this module, loading their layer on first use.
+runs numpy code: its registration in `_build_parser` names them, and `main`
+imports them before the clock starts, so elapsed_secs never includes import
+time.  The handlers import their names from those modules; the package API's
+names also resolve as attributes of this module, loading their layer on
+first use.  The parser resolves --seed and --bootstrap and checks that
+--out's directory exists, so a bad value exits 2 before any work.
+
+OpenBLAS is held to one thread before numpy loads: linsha calls no BLAS,
+its idle worker would spin, and every fork would copy a threaded process.
 
 A process ends through `entry`, which `python -m linsha.cli` and the
 `linsha` console script both call: `main`, then `gc.freeze()`, which moves
@@ -28,6 +33,7 @@ import argparse
 import gc
 import importlib
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -38,19 +44,8 @@ from .variants import PRESETS, make_variant
 
 KINDS = [k.value for k in ExpansionKind]
 
-# the modules each command runs beyond primitives and variants, which the
-# parser itself needs; main imports them before the clock starts.  numpy
-# imports numpy.random on first use, so the Monte Carlo names it.
-COMMAND_MODULES = {
-    "solve-disturbance": ("linsha.ringalg",),
-    "collide": ("linsha.disturbance", "linsha.ringalg"),
-    "table1": ("linsha.disturbance",),
-    "table2": ("linsha.boolanalysis",),
-    "table3": ("linsha.boolanalysis", "linsha.ringalg"),
-    "local-collision-mc": ("linsha.boolanalysis", "linsha.forks", "numpy.random"),
-    **dict.fromkeys(("census", "verify-word", "extend-word"), ("linsha.codewords",)),
-    **dict.fromkeys(("search", "fig2"), ("linsha.codewords", "linsha.isd")),
-}
+# before any command loads numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _hexlist(words) -> list[str]:
@@ -64,11 +59,27 @@ def _resolve_seed(raw: str) -> int:
     try:
         seed = int(raw)
     except ValueError:
-        raise ValueError(f"--seed must be an integer or 'random', got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer or 'random', got {raw!r}") from None
     if seed < 0:
         # random.Random seeds from |seed|, so -5 would repeat 5's run
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def _step_counts(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated step counts, got {raw!r}") from None
+
+
+def _out_path(raw: str) -> str:
+    # refused before the analysis, not after it has spent its budget
+    folder = os.path.dirname(raw) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"cannot write {raw!r}: {folder!r} is not a directory")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +245,8 @@ def cmd_search(args) -> tuple[Any, str, int]:
     from .codewords import SearchParams, build_generator, low_weight_search, write_codeword_file
     kind = ExpansionKind(args.kind)
     g = build_generator(kind, args.steps)
-    try:
-        boot = tuple(int(x) for x in args.bootstrap.split(",") if x)
-    except ValueError:
-        raise ValueError(f"--bootstrap must be comma-separated step counts, "
-                         f"got {args.bootstrap!r}") from None
     params = SearchParams(iterations=args.iterations, budget_secs=args.budget_secs,
-                          seed=args.seed, bootstrap_lengths=boot)
+                          seed=args.seed, bootstrap_lengths=args.bootstrap)
     res = low_weight_search(g, params)
     if args.out:
         write_codeword_file(args.out, res.words, (
@@ -324,13 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    # only the commands that draw random numbers take --seed; the others
-    # report a null seed
-    def add(name, handler, seeded=False, **kwargs):
+    # `loads`: the modules the command runs beyond primitives and variants,
+    # which main imports before the clock starts.  numpy imports numpy.random
+    # on first use, so the Monte Carlo names it.  Only the commands that draw
+    # random numbers take --seed; the others report a null seed.
+    def add(name, handler, *loads, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, _loads=loads)
         if seeded:
-            p.add_argument("--seed", default="0",
+            p.add_argument("--seed", type=_resolve_seed, default="0",
                            help="integer seed, or 'random' (default 0)")
         else:
             p.set_defaults(seed=None)
@@ -343,12 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--message", default="abc")
 
-    p = add("solve-disturbance", cmd_solve_disturbance,
+    p = add("solve-disturbance", cmd_solve_disturbance, "linsha.ringalg",
             help="kernel of the expansion-consistency conditions")
     p.add_argument("--strict", action="store_true",
                    help="use the backward-zero form of the second condition")
 
-    p = add("collide", cmd_collide, seeded=True,
+    p = add("collide", cmd_collide, "linsha.disturbance", "linsha.ringalg", seeded=True,
             help="verified collisions for the ADD-linear variant")
     p.add_argument("--multiple", type=int, default=1,
                    help="kernel multiple in 0..15 that leaves the difference nonzero: "
@@ -357,13 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxed", dest="strict", action="store_false",
                    help="use the relaxed order-16 kernel instead (no collisions)")
 
-    add("table1", cmd_table1, help="register coefficients after one disturbance")
-    add("table2", cmd_table2, help="differential probabilities of maj/ch")
+    add("table1", cmd_table1, "linsha.disturbance",
+        help="register coefficients after one disturbance")
+    add("table2", cmd_table2, "linsha.boolanalysis", help="differential probabilities of maj/ch")
 
-    p = add("table3", cmd_table3, help="per-step activity and cost accounting")
-    p.add_argument("--out", default=None, help="write CSV here")
+    p = add("table3", cmd_table3, "linsha.boolanalysis", "linsha.ringalg",
+            help="per-step activity and cost accounting")
+    p.add_argument("--out", type=_out_path, default=None, help="write CSV here")
 
-    p = add("local-collision-mc", cmd_local_collision_mc, seeded=True,
+    p = add("local-collision-mc", cmd_local_collision_mc, "linsha.boolanalysis", "linsha.forks",
+            "numpy.random", seeded=True,
             help="Monte Carlo estimate of one local collision")
     p.add_argument("--start-step", type=int, default=20)
     p.add_argument("--trials", type=int, default=1 << 16,
@@ -372,31 +383,34 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="independent trial streams, run in up to CPU-count processes; "
                         "the count depends only on seed and workers")
 
-    p = add("census", cmd_census, help="single-bit expansion weight census")
+    p = add("census", cmd_census, "linsha.codewords", help="single-bit expansion weight census")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
 
-    p = add("search", cmd_search, seeded=True, help="low-weight codeword search")
+    p = add("search", cmd_search, "linsha.codewords", "linsha.isd", seeded=True,
+            help="low-weight codeword search")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--bootstrap", default="",
+    p.add_argument("--bootstrap", type=_step_counts, default="",
                    help="comma-separated shorter lengths to search first")
-    p.add_argument("--out", default=None, help="write the word here")
+    p.add_argument("--out", type=_out_path, default=None, help="write the word here")
 
-    p = add("verify-word", cmd_verify_word, help="authenticate a codeword file")
+    p = add("verify-word", cmd_verify_word, "linsha.codewords",
+            help="authenticate a codeword file")
     p.add_argument("--file", required=True)
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, default=None)
 
-    p = add("extend-word", cmd_extend_word, help="extend a word to more steps")
+    p = add("extend-word", cmd_extend_word, "linsha.codewords", help="extend a word to more steps")
     p.add_argument("--file", required=True)
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
 
-    p = add("fig2", cmd_fig2, seeded=True, help="weight-vs-steps sweep")
+    p = add("fig2", cmd_fig2, "linsha.codewords", "linsha.isd", seeded=True,
+            help="weight-vs-steps sweep")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)
     p.add_argument("--min-steps", type=int, default=16)
     p.add_argument("--max-steps", type=int, default=64)
@@ -405,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=60.0,
                    help="per-step-count budget (default 60)")
-    p.add_argument("--out", default=None, help="write CSV here")
+    p.add_argument("--out", type=_out_path, default=None, help="write CSV here")
 
     return top
 
@@ -413,12 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for module in COMMAND_MODULES.get(args.command, ()):
+    for module in args._loads:
         importlib.import_module(module)
+    t0 = time.monotonic()
     try:
-        if args.seed is not None:
-            args.seed = _resolve_seed(args.seed)
-        t0 = time.monotonic()
         result, human, code = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

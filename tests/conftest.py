@@ -1,4 +1,7 @@
 import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")    # as linsha.cli: no BLAS thread to fork
+
 import random
 from pathlib import Path
 

@@ -180,8 +180,8 @@ ROWS = [
     refused("collide-zero-multiple-no-trials", "collide --multiple 2 --count 0"),
     refused("collide-negative-count", "collide --count -1"),
     refused("collide-strict", "collide --strict", "unrecognized arguments: --strict"),
-    refused("seed-not-a-number", "collide --seed abc"),
-    refused("seed-not-an-integer", "collide --seed 1.5"),
+    refused("seed-not-a-number", "collide --seed abc", "must be an integer or 'random'"),
+    refused("seed-not-an-integer", "collide --seed 1.5", "must be an integer or 'random'"),
     # random.Random seeds from |seed|, so a negative seed would repeat a positive one
     refused("collide-seed-negative", "collide --seed -1", "seed must be non-negative, got -1"),
     refused("search-seed-negative", "search --steps 20 --iterations 5 --seed -5",
@@ -214,6 +214,9 @@ ROWS = [
     refused("search-budget-minus-inf", "search --budget-secs -inf"),
     refused("search-bootstrap-not-a-number", "search --steps 20 --iterations 5 --bootstrap x",
             "--bootstrap"),
+    # the parser checks --out's directory, so a long search never starts
+    refused("search-out-no-directory",
+            "search --steps 40 --iterations 60000 --out /nonexistent/w.hex", "/nonexistent/w.hex"),
     refused("fig2-budget-nan", "fig2 --budget-secs nan"),
     refused("fig2-budget-inf", "fig2 --budget-secs inf"),
     refused("fig2-range-empty", "fig2 --min-steps 45 --max-steps 40", "sweep range is empty"),

@@ -168,6 +168,24 @@ def test_table3_writes_csv(capsys, tmp_path):
     assert out.read_text().startswith("step,maj,ch,e\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--steps", "40", "--iterations", "60000"),
+    ("fig2", "--min-steps", "40", "--max-steps", "44"),
+    ("extend-word", "--file", str(TABLE5), "--steps", "64"),
+    ("table3",),
+], ids=lambda argv: argv[0])
+def test_out_directory_is_checked_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    # a search would spend its whole budget before failing to write its word
+    ran = []
+    monkeypatch.setattr(f"linsha.cli.cmd_{argv[0].replace('-', '_')}",
+                        lambda args: ran.append(args) or ({}, "", 0))
+    out = tmp_path / "missing" / "out"
+    code, report, err = run(capsys, *argv, "--out", str(out))
+    assert (code, report, ran) == (2, None, [])
+    assert err == (f"error: argument --out: cannot write {str(out)!r}: "
+                   f"{str(out.parent)!r} is not a directory\n")
+
+
 def test_search_roundtrip_through_file(capsys, tmp_path):
     out = tmp_path / "word.hex"
     code, report, _ = run(capsys, "search", "--steps", "18", "--iterations", "200",
@@ -380,6 +398,42 @@ def test_no_command_loads_dataclasses(argv, layers):
     assert "dataclasses" not in after
     if "numpy" not in layers:
         assert "inspect" not in after
+
+
+# a fresh CLI process that forks: its exit code, its OS threads at each fork
+# and the OpenBLAS thread count it ran with.  An error filter cannot catch
+# Python 3.12's warning on forking a threaded process (os.fork clears it),
+# so the threads are counted.
+FORKING = """
+import contextlib, io, json, os, sys
+threads = []
+os.register_at_fork(before=lambda: threads.append(len(os.listdir("/proc/self/task"))))
+from linsha import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, threads, os.environ["OPENBLAS_NUM_THREADS"]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts a forking run's threads in /proc; on one CPU nothing forks")
+@pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)], ids=["unset", "preset"])
+@pytest.mark.parametrize("argv", [("local-collision-mc", "--trials", "65536", "--workers", "2"),
+                                  ("search", "--steps", "40", "--iterations", "200")],
+                         ids=lambda argv: argv[0])
+def test_cli_forks_single_threaded_unless_blas_threads_are_set(argv, preset, threads):
+    # linsha calls no BLAS, so the CLI holds OpenBLAS to one thread, but
+    # keeps a value the caller set
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", FORKING, *argv], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    code, forked, value = json.loads(done.stdout)
+    assert (code, value) == (0, preset or "1")
+    assert forked and set(forked) == {threads}
 
 
 def test_import_linsha_loads_no_layer():
