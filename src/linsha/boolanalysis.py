@@ -215,9 +215,9 @@ _MC_SLICE = 1 << 14          # trials drawn and stepped together, so their words
 _MC_DW = bytes(0xFF * c for c in (1, *MSB_CORRECTION_COEFFS))
 
 
-def _mc_chunk(rng: np.random.Generator, nt: int, i: int) -> int:
-    """Successes among nt trials of the disturbance schedule _MC_DW,
-    injected at steps i..i+8.
+def _mc_chunk(i: int, seed: int, widx: int, first: int, nt: int) -> int:
+    """Successes among trials first..first+nt-1 of stream widx, under the
+    disturbance schedule _MC_DW injected at steps i..i+8.
 
     Without S-boxes the paired run is always the first run XOR a bit-31
     pattern: an MSB difference crosses every addition carry-free, Σ0/Σ1 are
@@ -241,30 +241,31 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int) -> int:
     2^14 trials so that its sixteen drawn sub-blocks (1 MB) stay in one
     core's 2 MB L2 cache while it is stepped.
 
-    Draws, in this order: 8 registers, then 9 message words, nt uniform words
-    each; these 17 sub-blocks fill ceil(17 nt / 2) PCG64 outputs, read as
-    little-endian 32-bit halves.  They equal 17 calls of
-    Generator.integers(0, 1 << 32, nt, dtype=np.uint32), which over the full
-    range take the low half of each 64-bit output and then the high half, as
-    long as no half is left over from an earlier draw.  None is: every chunk
-    but a stream's last has _MC_BATCH trials, an even number, and the spare
-    half of an odd last chunk is never read.  A slice draws only its own
-    words of each sub-block, jumping to them with PCG64's O(log n) advance;
-    for odd nt a sub-block may start at a high half.  The ninth word is never
-    read, and the generator is left at the end of the chunk's outputs.
+    Stream widx is the bit generator np.random.PCG64([seed, widx]), which
+    default_rng([seed, widx]) wraps.  Its chunks before this one hold
+    _MC_BATCH trials each, an even number, so this chunk starts 17 first / 2
+    outputs in.  Its draws, in this order: 8 registers, then 9 message words,
+    nt uniform words each; these 17 sub-blocks fill ceil(17 nt / 2) outputs,
+    read as little-endian 32-bit halves, and equal 17 calls of
+    Generator.integers(0, 1 << 32, nt, dtype=np.uint32) from there, which
+    over the full range take the low half of each output, then the high
+    half.  A slice draws only its own words of each sub-block, jumping to
+    them with PCG64's O(log n) advance; for odd nt a sub-block may start at a
+    high half.  The ninth word is never read.
     """
     import numpy as np
 
-    bitgen = rng.bit_generator
+    bitgen = np.random.PCG64([seed, widx])
+    bitgen.advance(17 * first // 2)
     pos = 0             # 64-bit outputs consumed since the chunk's start
 
-    def draw(first: int, n: int) -> np.ndarray:
-        """The chunk's 32-bit words first..first+n-1."""
+    def draw(word: int, n: int) -> np.ndarray:
+        """The chunk's 32-bit words word..word+n-1."""
         nonlocal pos
-        half = first % 2
-        bitgen.advance(first // 2 - pos)        # a negative jump wraps, as PCG64 allows
+        half = word % 2
+        bitgen.advance(word // 2 - pos)         # a negative jump wraps, as PCG64 allows
         raw = bitgen.random_raw((half + n + 1) // 2)
-        pos = first // 2 + len(raw)
+        pos = word // 2 + len(raw)
         return raw.astype("<u8", copy=False).view("<u4")[half:half + n]
 
     # bit-31 rows of the first run: rows 0..2 hold c, b, a at the start and
@@ -304,7 +305,6 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int) -> int:
             np.greater_equal(a, msb, out=rows[t + 3])
             np.greater_equal(e, msb, out=rows[t + 14])
         planes[:, lo // 8:(lo + ns + 7) // 8] = np.packbits(rows, axis=1)
-    bitgen.advance((17 * nt + 1) // 2 - pos)
     da = db = dc = dd = de = df = dg = dh = np.zeros(nb, np.uint8)
     ap, ep = planes[:11], planes[11:]
     for t in range(9):
@@ -315,18 +315,6 @@ def _mc_chunk(rng: np.random.Generator, nt: int, i: int) -> int:
     differs = da | db | dc | dd | de | df | dg | dh
     # dw flips the padding bits of the last byte too, so count only the trials
     return nt - int(np.count_nonzero(np.unpackbits(differs, count=nt)))
-
-
-def _mc_streams(i: int, seed: int, streams: Sequence[tuple[int, int]]) -> int:
-    """Summed successes of the trial streams (worker index, trials)."""
-    import numpy as np
-
-    successes = 0
-    for widx, chunk in streams:
-        rng = np.random.default_rng([seed, widx])
-        for done in range(0, chunk, _MC_BATCH):
-            successes += _mc_chunk(rng, min(_MC_BATCH, chunk - done), i)
-    return successes
 
 
 def monte_carlo_local_collision(
@@ -340,12 +328,13 @@ def monte_carlo_local_collision(
     Draws uniform register states and message words, injects the MSB at
     step i plus its offset-{3,4,8} corrections (the offsets where
     MSB_CORRECTION_COEFFS is 1) into the paired run, and counts trials
-    whose register difference is fully cancelled after step i+9.  Workers own
-    generators seeded from (seed, worker index); their counts merge by
-    summation, so results are deterministic for a fixed (seed, workers).  The
-    streams are split into up to forks.usable_cpus() contiguous blocks: the caller
-    runs the last block and a forked child each other one; with one block
-    nothing is forked.
+    whose register difference is fully cancelled after step i+9.  Each of
+    `workers` streams has its own generator, seeded from (seed, worker
+    index), and runs in chunks of _MC_BATCH trials; a chunk jumps to its own
+    place in its stream, so the summed count depends only on (seed, workers).
+    The list of every stream's chunks is split into up to forks.usable_cpus()
+    contiguous blocks: the caller runs the last block and a forked child each
+    other one, so on two CPUs even workers=1 forks once it has two chunks.
     """
     if not 0 <= i <= 55:
         raise ValueError("start step must lie in 0..55")
@@ -355,18 +344,20 @@ def monte_carlo_local_collision(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    # numpy is imported before the streams fork, so that no child imports it
+    # numpy is imported before the chunks fork, so that no child imports it
     # again; neither it nor forks at the top: table2 and table3 load this module
     import numpy  # noqa: F401
     from . import forks
 
     base, extra = divmod(trials, workers)
-    # streams without trials draw nothing and contribute nothing
-    streams = [(widx, base + (widx < extra)) for widx in range(min(workers, trials))]
-    procs = min(len(streams), forks.usable_cpus())
-    blocks = [streams[p * len(streams) // procs:(p + 1) * len(streams) // procs]
+    # (stream, first trial, trials); streams without trials have no chunk
+    chunks = [(widx, first, min(_MC_BATCH, n - first)) for widx in range(min(workers, trials))
+              for n in [base + (widx < extra)] for first in range(0, n, _MC_BATCH)]
+    procs = min(len(chunks), forks.usable_cpus())
+    blocks = [chunks[p * len(chunks) // procs:(p + 1) * len(chunks) // procs]
               for p in range(procs)]
-    successes = sum(forks.forked(lambda block: _mc_streams(i, seed, block), blocks))
+    successes = sum(forks.forked(
+        lambda block: sum(_mc_chunk(i, seed, *chunk) for chunk in block), blocks))
     return McResult(successes, trials)
 
 

@@ -13,7 +13,8 @@ imports them before the clock starts, so elapsed_secs never includes import
 time.  The handlers import their names from those modules; the package API's
 names also resolve as attributes of this module, loading their layer on
 first use.  The parser resolves --seed and --bootstrap and checks that
---out's directory exists, so a bad value exits 2 before any work.
+--out is not a directory and that its directory exists, so a bad value
+exits 2 before any work.
 
 OpenBLAS is held to one thread before numpy loads: linsha calls no BLAS,
 its idle worker would spin, and every fork would copy a threaded process.
@@ -76,6 +77,8 @@ def _step_counts(raw: str) -> tuple[int, ...]:
 
 def _out_path(raw: str) -> str:
     # refused before the analysis, not after it has spent its budget
+    if os.path.isdir(raw):
+        raise argparse.ArgumentTypeError(f"cannot write {raw!r}: it is a directory")
     folder = os.path.dirname(raw) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"cannot write {raw!r}: {folder!r} is not a directory")
@@ -380,8 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1 << 16,
                    help="trials to run (default 65536)")
     p.add_argument("--workers", type=int, default=1,
-                   help="independent trial streams, run in up to CPU-count processes; "
-                        "the count depends only on seed and workers")
+                   help="independent trial streams, whose chunks run in up to CPU-count "
+                        "processes; the count depends only on seed and workers")
 
     p = add("census", cmd_census, "linsha.codewords", help="single-bit expansion weight census")
     p.add_argument("--kind", default="sha256-xor", choices=KINDS)

@@ -1,7 +1,7 @@
 """Blocks of work run side by side in forked children of the calling process.
 
-Both numpy strands split their work this way: the Monte Carlo its trial
-streams, the ISD chain the weighing of its batches of information sets.  The calling process
+Both numpy strands split their work this way: the Monte Carlo its chunks
+of trials, the ISD chain the weighing of its batches of information sets.  The calling process
 runs the last block itself and one os.fork child runs each other block, so
 with one block nothing is forked.  Callers make at most one block per
 usable CPU, so on one CPU nothing is forked.

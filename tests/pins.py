@@ -163,6 +163,10 @@ ROWS = [
     # on one CPU both streams run in the caller, with the same count
     Row("mc", "local-collision-mc --trials 1048576 --workers 2", {"result.successes": 7115},
         cpus=(None, 1)),
+    # one stream of four chunks: on two CPUs a child runs two of them, with
+    # the same count (c07's run)
+    Row("mc-one-stream", "local-collision-mc --trials 1048576 --seed 0",
+        {"result.successes": 7171}, cpus=(1, 2)),
     # the mc benchmark workload
     Row("mc-bench", "local-collision-mc --start-step 20 --workers 2 --trials 2097152 --seed 0",
         {"result.successes": 14223}, cpus=(1, 2)),
@@ -217,6 +221,8 @@ ROWS = [
     # the parser checks --out's directory, so a long search never starts
     refused("search-out-no-directory",
             "search --steps 40 --iterations 60000 --out /nonexistent/w.hex", "/nonexistent/w.hex"),
+    refused("search-out-is-directory", "search --steps 40 --iterations 60000 --out .",
+            "cannot write '.'"),
     refused("fig2-budget-nan", "fig2 --budget-secs nan"),
     refused("fig2-budget-inf", "fig2 --budget-secs inf"),
     refused("fig2-range-empty", "fig2 --min-steps 45 --max-steps 40", "sweep range is empty"),

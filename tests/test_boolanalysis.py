@@ -174,38 +174,38 @@ class TestBitPlaneKernel:
         monkeypatch.setattr(boolanalysis, "_MC_DW", schedule)
         for nt in (1, 7, 8, 9, self.SLICE - 1, self.SLICE + 1, 100000):
             for seed in (0, 1):
-                got = boolanalysis._mc_chunk(np.random.default_rng([seed, 7]), nt, start)
+                got = boolanalysis._mc_chunk(start, seed, 7, 0, nt)
                 want = two_run_chunk(np.random.default_rng([seed, 7]), nt, start)
                 assert got == want, (nt, seed)
 
     @pytest.mark.parametrize("tail", [5, 20001])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_stream_matches_reference_across_chunks(self, seed, tail):
+    def test_stream_matches_reference_across_chunks(self, monkeypatch, seed, tail):
         # a full chunk, then an odd one: the second chunk's raw block must
         # start where 17 rng.integers draws of the first leave the generator.
         # An even chunk only permutes its trials if a draw's halves are
         # swapped, so the odd 20001-trial tail is what catches that.
         batch = boolanalysis._MC_BATCH
-        got = boolanalysis._mc_streams(20, seed, [(0, batch + tail)])
+        made, pcg64 = [], np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda key: made.append(pcg64(key)) or made[-1])
+        got = boolanalysis._mc_chunk(20, seed, 0, 0, batch) + boolanalysis._mc_chunk(
+            20, seed, 0, batch, tail)
         rng = np.random.default_rng([seed, 0])
         want = sum(two_run_chunk(rng, nt, 20) for nt in (batch, tail))
         assert got == want
-
-    def test_chunk_leaves_the_generator_where_integers_does(self):
-        # success counts do not see trials shifted or permuted; the state does
-        for nt in (2, self.SLICE + 2):
-            rng, ref = np.random.default_rng([0, 7]), np.random.default_rng([0, 7])
-            boolanalysis._mc_chunk(rng, nt, 20)
-            for _ in range(17):
-                ref.integers(0, 1 << 32, nt, dtype=np.uint32)
-            assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+        # a start off by whole outputs only relabels most trials, which the
+        # count does not see; the tail's generator does: its last read ends
+        # 16 draws past its start, since the ninth message word is never read
+        ref = np.random.default_rng([seed, 0])
+        for nt in [batch] * 17 + [tail] * 16:
+            ref.integers(0, 1 << 32, nt, dtype=np.uint32)
+        assert made[1].state["state"] == ref.bit_generator.state["state"]
 
     def test_chunk_draws_one_slice_at_a_time(self):
         # one raw block of all the chunk's draws would peak at 19.4 MB
-        rng = np.random.default_rng([0, 7])
         tracemalloc.start()
         try:
-            boolanalysis._mc_chunk(rng, boolanalysis._MC_BATCH, 20)
+            boolanalysis._mc_chunk(20, 0, 7, 0, boolanalysis._MC_BATCH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,31 +256,43 @@ class TestMonteCarlo:
         assert_reaped(forks)
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, forks):
-        # the caller's own calls of _mc_streams: a child's land in its copy
+        # the caller's own calls of _mc_chunk: a child's land in its copy.
+        # Five one-chunk streams on two CPUs: the caller runs the last three
         callers = []
-        streams = boolanalysis._mc_streams
+        chunk = boolanalysis._mc_chunk
 
         def spy(*args):
             callers.append(os.getpid())
-            return streams(*args)
+            return chunk(*args)
 
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
         inline = monte_carlo_local_collision(20, 100000, seed=2, workers=5)
-        monkeypatch.setattr(boolanalysis, "_mc_streams", spy)
+        monkeypatch.setattr(boolanalysis, "_mc_chunk", spy)
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
         assert monte_carlo_local_collision(20, 100000, seed=2, workers=5) == inline
-        assert len(forks) == 1 and callers == [os.getpid()]
+        assert len(forks) == 1 and callers == [os.getpid()] * 3
+        assert_reaped(forks)
+
+    def test_one_stream_splits_its_chunks_over_the_cpus(self, monkeypatch, forks):
+        # four chunks of one stream: two in a child and two in the caller
+        trials = 4 * boolanalysis._MC_BATCH
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
+        inline = monte_carlo_local_collision(20, trials, seed=0)
+        assert forks == []
+        monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 2)
+        assert monte_carlo_local_collision(20, trials, seed=0) == inline
+        assert len(forks) == 1
         assert_reaped(forks)
 
     def test_workers_without_trials_contribute_nothing(self, monkeypatch):
         # ten streams of one trial each; the other six draw nothing
-        ones = boolanalysis._mc_streams(20, 2, [(w, 1) for w in range(10)])
+        ones = sum(boolanalysis._mc_chunk(20, 2, w, 0, 1) for w in range(10))
         monkeypatch.setattr("linsha.forks.usable_cpus", lambda: 1)
         sizes, chunk = [], boolanalysis._mc_chunk
 
-        def spy(rng, nt, *args):
-            sizes.append(nt)
-            return chunk(rng, nt, *args)
+        def spy(*args):
+            sizes.append(args[-1])
+            return chunk(*args)
 
         monkeypatch.setattr(boolanalysis, "_mc_chunk", spy)
         mc = monte_carlo_local_collision(20, 10, seed=2, workers=16)
@@ -313,7 +325,7 @@ class TestMonteCarlo:
 
     def test_zero_disturbance_always_collides(self, monkeypatch):
         monkeypatch.setattr(boolanalysis, "_MC_DW", ZERO_SCHEDULE)
-        assert boolanalysis._mc_streams(20, 0, [(0, 2048)]) == 2048
+        assert boolanalysis._mc_chunk(20, 0, 0, 0, 2048) == 2048
 
     def test_observed_rate_in_plausible_band(self):
         # the independence model says 2^-9; the exact rate is 7/1024 = 2^-7.19

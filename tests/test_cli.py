@@ -184,6 +184,10 @@ def test_out_directory_is_checked_before_any_work(capsys, monkeypatch, tmp_path,
     assert (code, report, ran) == (2, None, [])
     assert err == (f"error: argument --out: cannot write {str(out)!r}: "
                    f"{str(out.parent)!r} is not a directory\n")
+    # nor can a file be written where a directory stands
+    code, report, err = run(capsys, *argv, "--out", ".")
+    assert (code, report, ran) == (2, None, [])
+    assert err == "error: argument --out: cannot write '.': it is a directory\n"
 
 
 def test_search_roundtrip_through_file(capsys, tmp_path):
